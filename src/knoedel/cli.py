@@ -296,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "digits" in args and args.digits < 1:
+            raise UsageError("digits must be at least 1")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

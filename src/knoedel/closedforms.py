@@ -47,12 +47,14 @@ from .exactmath import (
     TruncatedSeries,
     binom_general,
 )
-from .models import ModelKind, State, WalkModel, _BetaState
+from .models import ModelKind, State, WalkModel, _BetaState, frontier
 
 _T = Polynomial.x()
 _ONE_MINUS_T = Polynomial([1, -1])
 _ONE_MINUS_3T = Polynomial([1, -3])
 _FOUR_MINUS_3T = Polynomial([4, -3])
+_DOUBLE_LARGE = WalkModel.double_large()
+_DOUBLE_SMALL = WalkModel.double_small()
 
 
 def x_of_t() -> Polynomial:
@@ -142,13 +144,13 @@ def f_state_coeff(steps: int, state: int) -> Fraction:
         S1 = sum_k (-1)^k C(j-k, k)   C(k-2N-2, N-j+k)
         S2 = sum_k (-1)^k C(j-1-k, k) C(k-2N-1, N-j+k)
 
-    The generalized binomials cut both sums off on their own, including
-    at unreachable states beyond the walk's frontier.
+    The value also vanishes beyond the walk's frontier, where the sums
+    would take about j/2 terms to cancel, so it returns 0 there at once.
     """
     if steps < 0 or state < 0:
         raise ValueError("steps and state must be non-negative")
     j = state
-    if (steps + j) % 3:
+    if (steps + j) % 3 or j > frontier(_DOUBLE_LARGE, steps):
         return Fraction(0)
     n_blocks = (steps + j) // 3
     s1 = Fraction(0)
@@ -219,11 +221,9 @@ def g_state_coeff(steps: int, state: int) -> Fraction:
     j = state
     if j == 0:
         return g0_coeff(steps // 3) if steps % 3 == 0 else Fraction(0)
-    if (steps - j) % 3:
+    if (steps - j) % 3 or j > frontier(_DOUBLE_SMALL, steps):
         return Fraction(0)
     n_blocks = (steps - j) // 3
-    if n_blocks < 0:
-        return Fraction(0)
     total = Fraction(0)
     for i in range(n_blocks + 1):
         total += Fraction(

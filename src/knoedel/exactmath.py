@@ -347,11 +347,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def reciprocal(self) -> RationalFunction:
-        if self.num.is_zero():
-            raise ValueError("zero denominator")
-        return RationalFunction(self.den, self.num)
-
     def _lift(self, other: object) -> RationalFunction | None:
         if isinstance(other, RationalFunction):
             return other
@@ -390,23 +385,7 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: object) -> RationalFunction:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.reciprocal()
-
-    def __rtruediv__(self, other: object) -> RationalFunction:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.reciprocal()
-
     def __pow__(self, exponent: int) -> RationalFunction:
-        if not isinstance(exponent, int):
-            raise ValueError("exponent must be an integer")
-        if exponent < 0:
-            return self.reciprocal() ** (-exponent)
         return RationalFunction(self.num**exponent, self.den**exponent)
 
     def __eq__(self, other: object) -> bool:

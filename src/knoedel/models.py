@@ -22,10 +22,11 @@ Each walk starts at 0.  Because every productive move changes the box
 count by +2/-1 (or +1/-2), the support of the step-n distribution lives
 in a single residue class mod 3; ``residue_class`` returns it.
 
-Two independent evaluation routes are provided: a forward dynamic
-program over exact rationals (``dp_table``) and a brute-force sum over
-all coin sequences (``brute_force_distribution``), used as the oracle
-the rest of the package is checked against.
+The moves are written once, in ``step``; the forward dynamic program
+(``dp_table``) runs on successor tables read off it.  For p = a/b it
+carries integer numerators over b^n, the red edge weighing a and the
+black edge b - a.  A brute-force sum over all coin sequences
+(``brute_force_distribution``) is the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -131,14 +132,6 @@ class WalkModel:
             return state + 1
         return BETA if state == 1 else state - 2
 
-    def transitions(self, state: State) -> list[tuple[State, Fraction]]:
-        """Outgoing edges as (target, weight) pairs, merged by target."""
-        red = self.step(state, True)
-        black = self.step(state, False)
-        if red == black or (isinstance(red, _BetaState) and isinstance(black, _BetaState)):
-            return [(red, Fraction(1))]
-        return [(red, self.p), (black, self.q)]
-
 
 @dataclass
 class StepDistribution:
@@ -160,17 +153,50 @@ class StepDistribution:
         return sum(self.probabilities.values(), Fraction(0))
 
 
+def successor_slots(
+    model: WalkModel, steps: int
+) -> tuple[list[State], list[int], list[int]]:
+    """Slot states and their red and black successor slots, read off ``step``.
+
+    The slots hold BETA and then every numbered state the walk can reach
+    in ``steps`` steps, so numbered state i sits in slot i + 1.  Successors
+    of the states first reached at step ``steps`` may lie past the last
+    slot; a walk of ``steps`` steps never moves from those states.
+    """
+    states = [BETA, *range(frontier(model, steps) + 1)]
+
+    def slot(state: State) -> int:
+        return 0 if isinstance(state, _BetaState) else state + 1
+
+    return (
+        states,
+        [slot(model.step(state, True)) for state in states],
+        [slot(model.step(state, False)) for state in states],
+    )
+
+
 def dp_table(model: WalkModel, max_steps: int) -> list[StepDistribution]:
     """Step distributions 0..max_steps by forward dynamic programming."""
     if max_steps < 0:
         raise ValueError("step count must be non-negative")
+    states, red, black = successor_slots(model, max_steps)
+    red_weight = model.p.numerator
+    black_weight = model.p.denominator - red_weight
+    masses = [0] * len(states)
+    masses[states.index(0)] = 1
+    den = 1
     rows = [StepDistribution(0, {0: Fraction(1)})]
     for n in range(1, max_steps + 1):
-        acc: dict[State, Fraction] = {}
-        for state, mass in rows[-1].probabilities.items():
-            for target, weight in model.transitions(state):
-                acc[target] = acc.get(target, Fraction(0)) + mass * weight
-        rows.append(StepDistribution(n, acc))
+        nxt = [0] * len(states)
+        for slot, mass in enumerate(masses):
+            if mass:
+                nxt[red[slot]] += red_weight * mass
+                nxt[black[slot]] += black_weight * mass
+        masses = nxt
+        den *= model.p.denominator
+        rows.append(StepDistribution(
+            n, {states[slot]: Fraction(m, den) for slot, m in enumerate(masses) if m}
+        ))
     return rows
 
 
@@ -212,3 +238,8 @@ def residue_class(model: WalkModel, state: State) -> int:
     if isinstance(state, _BetaState):
         return 2
     return state % 3
+
+
+def frontier(model: WalkModel, steps: int) -> int:
+    """Largest numbered state the walk can reach in ``steps`` steps."""
+    return 2 * steps if model.kind is ModelKind.DOUBLE_LARGE else steps

@@ -30,20 +30,17 @@ from fractions import Fraction
 import numpy as np
 
 from .models import (
-    BETA,
-    ModelKind,
     State,
     StepDistribution,
     WalkModel,
     state_sort_key,
+    successor_slots,
 )
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
 DEFAULT_SEED = 1729
-
-_BETA_CODE = -1
 
 
 def mix64(value: int) -> int:
@@ -70,17 +67,6 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
-
-
-def _advance(kind: ModelKind, states: np.ndarray, red: np.ndarray) -> np.ndarray:
-    if kind is ModelKind.DOUBLE_LARGE:
-        down = np.where(states >= 1, states - 1, _BETA_CODE)
-        nxt = np.where(red, states + 2, down)
-        return np.where(states == _BETA_CODE, 1, nxt)
-    down = np.where(states >= 2, states - 2, _BETA_CODE)
-    nxt = np.where(red, states + 1, down)
-    nxt = np.where(states == 0, 1, nxt)
-    return np.where(states == _BETA_CODE, 0, nxt)
 
 
 @dataclass(frozen=True)
@@ -113,24 +99,25 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     """Run all trials and tally final states.
 
     Vectorized with numpy over trials; the per-draw semantics match
-    ``splitmix_draw`` bit for bit.
+    ``splitmix_draw`` bit for bit.  Trials hold slots of
+    ``successor_slots`` and each step gathers the red or black successor.
     """
     if config.trials < 1:
         raise ValueError("trials must be positive")
     if config.steps < 0:
         raise ValueError("steps must be non-negative")
+    states, red, black = successor_slots(config.model, config.steps)
+    red_next, black_next = np.array(red), np.array(black)
     threshold = np.uint64(red_threshold(config.model.p))
     index = np.arange(1, config.trials + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         base = _mix64_array(np.uint64(config.seed & _MASK) + index * np.uint64(GOLDEN))
-        states = np.zeros(config.trials, dtype=np.int64)
+        slots = np.full(config.trials, states.index(0))
         for k in range(config.steps):
             r = _mix64_array(base + np.uint64(k + 1) * np.uint64(GOLDEN))
-            states = _advance(config.model.kind, states, r < threshold)
-    values, counts = np.unique(states, return_counts=True)
-    tally: dict[State, int] = {}
-    for value, count in zip(values.tolist(), counts.tolist()):
-        tally[BETA if value == _BETA_CODE else int(value)] = int(count)
+            slots = np.where(r < threshold, red_next[slots], black_next[slots])
+    counts = np.bincount(slots).tolist()
+    tally = {states[slot]: count for slot, count in enumerate(counts) if count}
     return EmpiricalDistribution(config.steps, config.trials, config.seed, tally)
 
 

@@ -23,6 +23,7 @@ from .models import (
     WalkModel,
     brute_force_distribution,
     dp_table,
+    frontier,
     residue_class,
 )
 
@@ -60,7 +61,6 @@ def normalization_and_support_suite(max_steps: int = 30) -> SuiteResult:
     """Rows sum to one and mass stays inside the residue class."""
     suite = _Suite("normalization-and-support")
     for model in _both_models():
-        bound_factor = 2 if model.kind is ModelKind.DOUBLE_LARGE else 1
         for row in dp_table(model, max_steps):
             n = row.step
             suite.check(row.total() == 1, f"{model.name} step {n}: total {row.total()}")
@@ -71,7 +71,7 @@ def normalization_and_support_suite(max_steps: int = 30) -> SuiteResult:
                 )
                 if isinstance(state, int):
                     suite.check(
-                        state <= bound_factor * n,
+                        state <= frontier(model, n),
                         f"{model.name} step {n}: state {state} beyond frontier",
                     )
     return suite.result()
@@ -85,10 +85,10 @@ def oracle_equivalence_suite(max_steps: int = 12) -> SuiteResult:
         rows = dp_table(model, cap)
         for n in range(cap + 1):
             brute = brute_force_distribution(model, n)
-            same = {
-                s: m for s, m in rows[n].probabilities.items() if m
-            } == {s: m for s, m in brute.probabilities.items() if m}
-            suite.check(same, f"{model.name} step {n}: dp and brute force disagree")
+            suite.check(
+                rows[n].probabilities == brute.probabilities,
+                f"{model.name} step {n}: dp and brute force disagree",
+            )
     return suite.result()
 
 
@@ -122,11 +122,10 @@ def closed_form_grid_suite(max_steps: int = 30) -> SuiteResult:
     """Closed-form coefficients match DP on the full reachable grid."""
     suite = _Suite("closed-form-grid")
     for model in _both_models():
-        bound_factor = 2 if model.kind is ModelKind.DOUBLE_LARGE else 1
         rows = dp_table(model, max_steps)
         for n in range(max_steps + 1):
             row = rows[n]
-            states = list(range(bound_factor * n + 1)) + [BETA]
+            states = list(range(frontier(model, n) + 1)) + [BETA]
             for state in states:
                 got = closedforms.closed_form_probability(model, state, n)
                 suite.check(

@@ -10,15 +10,15 @@ import time
 from fractions import Fraction
 
 from knoedel import closedforms as cf
-from knoedel.exactmath import Polynomial, TruncatedSeries
-from knoedel.models import (
-    BETA,
-    WalkModel,
-    brute_force_distribution,
-    dp_table,
-    residue_class,
-)
+from knoedel.exactmath import TruncatedSeries
+from knoedel.models import BETA, WalkModel, dp_table, frontier
 from knoedel.montecarlo import SimConfig, four_sigma_report, simulate
+from knoedel.verification import (
+    column_consistency_suite,
+    girard_waring_suite,
+    normalization_and_support_suite,
+    oracle_equivalence_suite,
+)
 
 
 def _report(number: int, name: str, ok: bool, detail: str, elapsed: float,
@@ -33,15 +33,10 @@ def _report(number: int, name: str, ok: bool, detail: str, elapsed: float,
 
 def test_criterion_01_oracle_equivalence():
     start = time.perf_counter()
-    bad = []
-    for model in (WalkModel.double_large(), WalkModel.double_small()):
-        rows = dp_table(model, 14)
-        for n in range(15):
-            if brute_force_distribution(model, n).probabilities != rows[n].probabilities:
-                bad.append((model.name, n))
+    result = oracle_equivalence_suite(14)
     elapsed = time.perf_counter() - start
-    _report(1, "oracle-equivalence", not bad,
-            f"dp equals brute force for n <= 14 on both walks {bad or ''}".strip(),
+    _report(1, "oracle-equivalence", result.passed,
+            f"dp equals brute force for n <= 14 on both walks {result.failures or ''}".strip(),
             elapsed, budget=30)
 
 
@@ -51,7 +46,7 @@ def test_criterion_02_double_large_grid():
     rows = dp_table(model, 30)
     bad = []
     for n in range(31):
-        for j in range(2 * n + 1):
+        for j in range(frontier(model, n) + 1):
             if cf.f_state_coeff(n, j) != rows[n].prob(j):
                 bad.append((n, j))
     anchors = cf.f_state_coeff(0, 0) == 1 and cf.f_state_coeff(3, 0) == Fraction(16, 27)
@@ -80,7 +75,7 @@ def test_criterion_04_double_small_grid():
     rows = dp_table(model, 30)
     bad = []
     for n in range(31):
-        for state in list(range(n + 1)) + [BETA]:
+        for state in list(range(frontier(model, n) + 1)) + [BETA]:
             if cf.closed_form_probability(model, state, n) != rows[n].prob(state):
                 bad.append((n, state))
     anchors = (
@@ -117,15 +112,7 @@ def test_criterion_06_kernel_identities():
 
 def test_criterion_07_girard_waring():
     start = time.perf_counter()
-    pair = cf.symmetric_pair()
-    e, f = pair.sum_of_roots, pair.product_of_roots
-    power_sums = [Polynomial([2]), e]
-    quotients = [Polynomial(), Polynomial([1])]
-    for _ in range(2, 41):
-        power_sums.append(e * power_sums[-1] - f * power_sums[-2])
-        quotients.append(e * quotients[-1] - f * quotients[-2])
-    ok = all(cf.girard_waring_power_sum(m) == power_sums[m] for m in range(41))
-    ok = ok and all(cf.girard_waring_quotient(m) == quotients[m] for m in range(41))
+    ok = girard_waring_suite(40).passed
     elapsed = time.perf_counter() - start
     _report(7, "girard-waring", ok,
             "closed sums equal the linear recurrences for m <= 40", elapsed)
@@ -133,15 +120,7 @@ def test_criterion_07_girard_waring():
 
 def test_criterion_08_normalization_and_residues():
     start = time.perf_counter()
-    ok = True
-    for model in (WalkModel.double_large(), WalkModel.double_small()):
-        bound = 2 if model.kind.value == "double-large" else 1
-        for row in dp_table(model, 100):
-            ok = ok and row.total() == 1
-            for state in row.support():
-                ok = ok and residue_class(model, state) == row.step % 3
-                if isinstance(state, int):
-                    ok = ok and state <= bound * row.step
+    ok = normalization_and_support_suite(100).passed
     elapsed = time.perf_counter() - start
     _report(8, "normalization-and-residues", ok,
             "rows sum to 1 and supports obey the mod-3 law for n <= 100",
@@ -174,18 +153,7 @@ def test_criterion_09_monte_carlo():
 
 def test_criterion_10_column_consistency():
     start = time.perf_counter()
-    t = cf.t_series(9)  # keeps blocks N <= 8
-    ok = True
-    for m in range(13):
-        expansion = cf.f_u_coeff(m).expand(t)
-        for n_blocks in range(9):
-            n = 3 * n_blocks - m
-            want = cf.f_state_coeff(n, m) if n >= 0 else Fraction(0)
-            ok = ok and expansion.coeff(n_blocks) == want
-    for j in range(13):
-        expansion = cf.g_u_coeff(j).expand(t)
-        for n_blocks in range(9):
-            ok = ok and expansion.coeff(n_blocks) == cf.g_state_coeff(3 * n_blocks + j, j)
+    ok = column_consistency_suite(12, 8).passed
     elapsed = time.perf_counter() - start
     _report(10, "column-consistency", ok,
             "column rational functions reproduce the coefficient formulas "

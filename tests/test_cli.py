@@ -174,6 +174,11 @@ def test_digits_flag(capsys):
         capsys, "series", "--which", "t", "--order", "2", "--digits", "4"
     )
     assert out.splitlines()[2] == "t,1,4,27,0.1481"
+    code, out, err = run_cli(
+        capsys, "series", "--which", "t", "--order", "2", "--digits", "0"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "digits" in err and len(err.splitlines()) == 1
 
 
 def test_simulate_output_and_determinism(capsys):

@@ -32,6 +32,7 @@ def test_f_state_coeff_vanishes_off_residue_and_beyond_frontier():
     assert cf.f_state_coeff(2, 0) == 0
     assert cf.f_state_coeff(1, 5) == 0
     assert cf.f_state_coeff(0, 3) == 0
+    assert cf.f_state_coeff(2, 3 * 10**6 + 1) == 0
 
 
 def test_fbeta_coeff_frozen_values():

@@ -13,6 +13,7 @@ from knoedel.models import (
     dp_distribution,
     dp_table,
     format_state,
+    frontier,
     parse_state,
     residue_class,
     state_sort_key,
@@ -23,28 +24,20 @@ probabilities = st.fractions(
 )
 
 
-def test_double_large_transitions():
+def test_double_large_step():
     m = WalkModel.double_large()
-    assert m.transitions(0) == [(2, Fraction(1, 3)), (BETA, Fraction(2, 3))]
-    assert m.transitions(3) == [(5, Fraction(1, 3)), (2, Fraction(2, 3))]
-    assert m.transitions(1) == [(3, Fraction(1, 3)), (0, Fraction(2, 3))]
-    assert m.transitions(BETA) == [(1, Fraction(1))]
+    assert (m.step(0, True), m.step(0, False)) == (2, BETA)
+    assert (m.step(3, True), m.step(3, False)) == (5, 2)
+    assert (m.step(1, True), m.step(1, False)) == (3, 0)
+    assert (m.step(BETA, True), m.step(BETA, False)) == (1, 1)
 
 
-def test_double_small_transitions():
+def test_double_small_step():
     m = WalkModel.double_small()
-    assert m.transitions(0) == [(1, Fraction(1))]
-    assert m.transitions(1) == [(2, Fraction(2, 3)), (BETA, Fraction(1, 3))]
-    assert m.transitions(4) == [(5, Fraction(2, 3)), (2, Fraction(1, 3))]
-    assert m.transitions(BETA) == [(0, Fraction(1))]
-
-
-def test_step_matches_transitions():
-    for model in (WalkModel.double_large(), WalkModel.double_small()):
-        for state in [0, 1, 2, 5, BETA]:
-            targets = dict(model.transitions(state))
-            assert model.step(state, True) in targets
-            assert model.step(state, False) in targets
+    assert (m.step(0, True), m.step(0, False)) == (1, 1)
+    assert (m.step(1, True), m.step(1, False)) == (2, BETA)
+    assert (m.step(4, True), m.step(4, False)) == (5, 2)
+    assert (m.step(BETA, True), m.step(BETA, False)) == (0, 0)
 
 
 def test_walk_model_validation():
@@ -111,10 +104,10 @@ def test_brute_force_agrees_with_dp():
 
 
 def test_brute_force_agrees_for_unbalanced_probability():
-    model = WalkModel.double_large(Fraction(2, 5))
-    assert brute_force_distribution(model, 7).probabilities == dp_distribution(
-        model, 7
-    ).probabilities
+    for model in (WalkModel.double_large(Fraction(2, 5)), WalkModel.double_small(Fraction(2, 7))):
+        assert brute_force_distribution(model, 7).probabilities == dp_distribution(
+            model, 7
+        ).probabilities
 
 
 def test_brute_force_limit():
@@ -184,13 +177,14 @@ def test_residue_class_values():
 
 
 def test_support_obeys_residue_class_and_frontier():
+    assert frontier(WalkModel.double_large(), 5) == 10
+    assert frontier(WalkModel.double_small(), 5) == 5
     for model in (WalkModel.double_large(), WalkModel.double_small()):
-        bound = 2 if model.kind.value == "double-large" else 1
         for row in dp_table(model, 15):
             for state in row.support():
                 assert residue_class(model, state) == row.step % 3
-                if isinstance(state, int):
-                    assert state <= bound * row.step
+            numbered = [state for state in row.support() if isinstance(state, int)]
+            assert max(numbered) == frontier(model, row.step)
 
 
 def test_state_parsing_and_formatting():

@@ -40,17 +40,25 @@ def test_red_threshold_is_exact_ceiling():
 
 def test_simulate_matches_scalar_replay():
     """The vectorized path reproduces the documented draw scheme bit for bit."""
-    for model in (WalkModel.double_large(), WalkModel.double_small()):
-        config = SimConfig(model, steps=9, trials=60, seed=2024)
+    for model, steps in [
+        (WalkModel.double_large(), 9),
+        (WalkModel.double_small(), 9),
+        (WalkModel.double_large(Fraction(3, 7)), 10),
+        (WalkModel.double_small(Fraction(2, 7)), 11),
+    ]:
+        config = SimConfig(model, steps=steps, trials=60, seed=2024)
         threshold = red_threshold(model.p)
         counts: dict = {}
+        visited = set()
         for trial in range(config.trials):
             state = 0
             for k in range(config.steps):
                 red = splitmix_draw(config.seed, trial, k) < threshold
                 state = model.step(state, red)
+                visited.add(state)
             counts[state] = counts.get(state, 0) + 1
         assert simulate(config).counts == counts
+        assert BETA in visited
 
 
 def test_simulate_is_deterministic():
