@@ -8,8 +8,10 @@ with ``--format json``; exact values always appear as numerator and
 denominator next to a rounded decimal.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The
-``table`` step cap defaults to 200 and can be overridden through the
-``KNOEDEL_MAX_STEPS`` environment variable.
+step cap on ``table --steps`` and ``verify --max-steps`` defaults to 200
+and can be overridden through the ``KNOEDEL_MAX_STEPS`` environment
+variable; ``series --order`` and ``verify --order`` are capped at 200.
+``python -m knoedel`` runs the same ``main``.
 """
 
 from __future__ import annotations
@@ -152,8 +154,11 @@ def cmd_coeff(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.order < 2:
-        raise UsageError("order must be at least 2")
+    if not 2 <= args.order <= SERIES_ORDER_CAP:
+        raise UsageError(f"order must be between 2 and {SERIES_ORDER_CAP}")
+    cap = _step_cap()
+    if args.max_steps > cap:
+        raise UsageError(f"max-steps {args.max_steps} exceeds the safety cap {cap}")
     if args.max_steps < 0:
         raise UsageError("max-steps must be non-negative")
     if args.trials < 1:

@@ -10,6 +10,12 @@ The three building blocks are
 * ``RationalFunction``: a quotient of two polynomials, comparable by
   cross multiplication and expandable into a ``TruncatedSeries``.
 
+The three share one ring skeleton, ``_Ring``: subtraction and
+non-negative powers are written once there, from each class's ``_lift``,
+``+``, unary ``-`` and ``*``.  Substitution has one Horner loop,
+``Polynomial.__call__``, which ``TruncatedSeries.compose`` and
+``RationalFunction.expand`` both go through.
+
 A truncated series of order ``n`` retains the coefficients of
 ``t^0 .. t^(n-1)``.  Binary operations between series of different orders
 truncate to the smaller order, so a result never pretends to more
@@ -19,7 +25,7 @@ precision than its inputs support.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -30,24 +36,60 @@ DEFAULT_ORDER = 32
 def binom_general(a: int, b: int) -> Fraction:
     """Binomial coefficient C(a, b) for arbitrary integer upper index.
 
-    Uses the falling-factorial definition a (a-1) ... (a-b+1) / b!, which
-    stays valid for negative ``a``.  A negative lower index gives 0.
+    This is the falling factorial a (a-1) ... (a-b+1) / b!.  A negative
+    upper index goes through the reflection C(a, b) = (-1)^b C(b-a-1, b);
+    a negative lower index gives 0.
     """
     if b < 0:
         return Fraction(0)
-    num = 1
-    for i in range(b):
-        num *= a - i
-    return Fraction(num, factorial(b))
+    if a < 0:
+        return Fraction((-1) ** b * comb(b - a - 1, b))
+    return Fraction(comb(a, b))
 
 
 def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class TruncatedSeries:
+class _Ring:
+    """Subtraction and powers, built from a subclass's ``_lift``, ``+``,
+    unary ``-`` and ``*``.  ``_lift`` turns a scalar (or a coarser ring
+    element) into the subclass, or returns None for a foreign type."""
+
+    __slots__ = ()
+
+    def __sub__(self, other: object):
+        rhs = self._lift(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other: object):
+        rhs = self._lift(other)
+        if rhs is None:
+            return NotImplemented
+        return rhs + (-self)
+
+    def __pow__(self, exponent: int):
+        """Square and multiply, starting from the lifted 1."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result = self._lift(1)
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
+
+
+class TruncatedSeries(_Ring):
     """Formal power series truncated to a fixed number of coefficients."""
 
     __slots__ = ("_coeffs",)
@@ -114,18 +156,6 @@ class TruncatedSeries:
     def __neg__(self) -> TruncatedSeries:
         return TruncatedSeries([-c for c in self._coeffs])
 
-    def __sub__(self, other: object) -> TruncatedSeries:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> TruncatedSeries:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other: object) -> TruncatedSeries:
         rhs = self._lift(other)
         if rhs is None:
@@ -142,19 +172,6 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> TruncatedSeries:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series exponent must be a non-negative integer")
-        result = TruncatedSeries.constant(1, len(self._coeffs))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def recip(self) -> TruncatedSeries:
         """Multiplicative inverse.  Needs a nonzero constant term.
@@ -178,11 +195,7 @@ class TruncatedSeries:
         if inner._coeffs[0] != 0:
             raise ValueError("inner series must have zero constant term")
         n = min(len(self._coeffs), len(inner._coeffs))
-        g = inner.truncate(n)
-        acc = TruncatedSeries.zero(n)
-        for k in reversed(range(n)):
-            acc = acc * g + self._coeffs[k]
-        return acc
+        return Polynomial(self._coeffs[:n])(inner.truncate(n))
 
     def reversion(self) -> TruncatedSeries:
         """Compositional inverse r with r(self) = t, by Lagrange inversion.
@@ -216,7 +229,7 @@ class TruncatedSeries:
         return f"TruncatedSeries([{shown}{tail}], order={len(self._coeffs)})"
 
 
-class Polynomial:
+class Polynomial(_Ring):
     """Dense polynomial over Fraction, indexed by ascending powers."""
 
     __slots__ = ("_coeffs",)
@@ -230,10 +243,6 @@ class Polynomial:
     @classmethod
     def x(cls) -> Polynomial:
         return cls([0, 1])
-
-    @classmethod
-    def constant(cls, value: Scalar) -> Polynomial:
-        return cls([value])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -278,18 +287,6 @@ class Polynomial:
     def __neg__(self) -> Polynomial:
         return Polynomial([-c for c in self._coeffs])
 
-    def __sub__(self, other: object) -> Polynomial:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> Polynomial:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other: object) -> Polynomial:
         rhs = self._lift(other)
         if rhs is None:
@@ -307,19 +304,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> Polynomial:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial exponent must be a non-negative integer")
-        result = Polynomial([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         rhs = self._lift(other)
         if rhs is None:
@@ -333,7 +317,7 @@ class Polynomial:
         return f"Polynomial({list(self._coeffs)!r})"
 
 
-class RationalFunction:
+class RationalFunction(_Ring):
     """Quotient of two polynomials.  Equality is by cross multiplication."""
 
     __slots__ = ("num", "den")
@@ -365,18 +349,6 @@ class RationalFunction:
     def __neg__(self) -> RationalFunction:
         return RationalFunction(-self.num, self.den)
 
-    def __sub__(self, other: object) -> RationalFunction:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> RationalFunction:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other: object) -> RationalFunction:
         rhs = self._lift(other)
         if rhs is None:
@@ -384,9 +356,6 @@ class RationalFunction:
         return RationalFunction(self.num * rhs.num, self.den * rhs.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> RationalFunction:
-        return RationalFunction(self.num**exponent, self.den**exponent)
 
     def __eq__(self, other: object) -> bool:
         rhs = self._lift(other)

@@ -25,7 +25,8 @@ in a single residue class mod 3; ``residue_class`` returns it.
 The moves are written once, in ``step``; the forward dynamic program
 (``dp_table``) runs on successor tables read off it.  For p = a/b it
 carries integer numerators over b^n, the red edge weighing a and the
-black edge b - a.  A brute-force sum over all coin sequences
+black edge b - a; ``dp_distribution`` runs the same loop and forms only
+its last row.  A brute-force sum over all coin sequences
 (``brute_force_distribution``) is the oracle it is checked against.
 """
 
@@ -175,34 +176,44 @@ def successor_slots(
     )
 
 
-def dp_table(model: WalkModel, max_steps: int) -> list[StepDistribution]:
-    """Step distributions 0..max_steps by forward dynamic programming."""
-    if max_steps < 0:
+def _dp_rows(model: WalkModel, first: int, last: int) -> list[StepDistribution]:
+    """Step distributions first..last by forward dynamic programming.
+
+    Only the current step's numerators are held, so rows before ``first``
+    cost neither memory nor ``Fraction``s.
+    """
+    if last < 0:
         raise ValueError("step count must be non-negative")
-    states, red, black = successor_slots(model, max_steps)
+    states, red, black = successor_slots(model, last)
     red_weight = model.p.numerator
     black_weight = model.p.denominator - red_weight
     masses = [0] * len(states)
     masses[states.index(0)] = 1
-    den = 1
-    rows = [StepDistribution(0, {0: Fraction(1)})]
-    for n in range(1, max_steps + 1):
-        nxt = [0] * len(states)
-        for slot, mass in enumerate(masses):
-            if mass:
-                nxt[red[slot]] += red_weight * mass
-                nxt[black[slot]] += black_weight * mass
-        masses = nxt
-        den *= model.p.denominator
-        rows.append(StepDistribution(
-            n, {states[slot]: Fraction(m, den) for slot, m in enumerate(masses) if m}
-        ))
+    rows = []
+    for n in range(last + 1):
+        if n:
+            nxt = [0] * len(states)
+            for slot, mass in enumerate(masses):
+                if mass:
+                    nxt[red[slot]] += red_weight * mass
+                    nxt[black[slot]] += black_weight * mass
+            masses = nxt
+        if n >= first:
+            den = model.p.denominator**n
+            rows.append(StepDistribution(
+                n, {states[slot]: Fraction(m, den) for slot, m in enumerate(masses) if m}
+            ))
     return rows
 
 
+def dp_table(model: WalkModel, max_steps: int) -> list[StepDistribution]:
+    """Step distributions 0..max_steps by forward dynamic programming."""
+    return _dp_rows(model, 0, max_steps)
+
+
 def dp_distribution(model: WalkModel, steps: int) -> StepDistribution:
-    """Exact distribution after ``steps`` steps."""
-    return dp_table(model, steps)[-1]
+    """Exact distribution after ``steps`` steps, without the earlier rows."""
+    return _dp_rows(model, steps, steps)[0]
 
 
 BRUTE_FORCE_LIMIT = 22

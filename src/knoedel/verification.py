@@ -22,6 +22,7 @@ from .models import (
     ModelKind,
     WalkModel,
     brute_force_distribution,
+    dp_distribution,
     dp_table,
     frontier,
     residue_class,
@@ -251,7 +252,7 @@ def simulation_suite(
     """Quick seeded simulation against exact probabilities, 4-sigma cells."""
     suite = _Suite("simulation-four-sigma")
     for model in _both_models():
-        exact = dp_table(model, steps)[steps]
+        exact = dp_distribution(model, steps)
         empirical = montecarlo.simulate(montecarlo.SimConfig(model, steps, trials, seed))
         for cell in montecarlo.four_sigma_report(empirical, exact):
             suite.check(

@@ -13,7 +13,9 @@ import knoedel
 from knoedel import closedforms
 from knoedel.cli import decimal_string, main
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+REPO = Path(__file__).resolve().parent.parent
+PYPROJECT = REPO / "pyproject.toml"
+DEMOS = REPO / "demos"
 
 # What an installer's console-script wrapper does: load the entry point
 # named in argv[1:3], make argv look as if the script itself was run, and
@@ -216,6 +218,13 @@ def test_verify_passes_at_reduced_sizes(capsys):
     assert lines[-1].startswith("overall: PASS")
 
 
+def test_verify_respects_step_and_order_caps(capsys):
+    for flag in ("--max-steps", "--order"):
+        code, out, err = run_cli(capsys, "verify", flag, "201", "--trials", "100")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_verify_detects_corrupted_formula(capsys, monkeypatch):
     """Negative control: a wrong closed form must fail verification."""
     monkeypatch.setattr(closedforms, "fbeta_coeff", lambda m: Fraction(1, 2))
@@ -296,6 +305,14 @@ def test_console_script_entry_point():
 
 
 def test_module_invocation():
-    result = run_python("-m", "knoedel.cli", "series", "--which", "t", "--order", "2")
-    assert result.returncode == 0
-    assert result.stdout.splitlines()[2] == "t,1,4,27,0.148148148148"
+    for module in ("knoedel.cli", "knoedel"):
+        result = run_python("-m", module, "series", "--which", "t", "--order", "2")
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[2] == "t,1,4,27,0.148148148148"
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
+def test_demo_runs_clean(demo):
+    result = run_python(str(demo))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

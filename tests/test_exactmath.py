@@ -35,6 +35,16 @@ def test_binom_general_is_exact():
     assert binom_general(40, 17) == 88732378800
 
 
+@given(st.integers(-60, 60), st.integers(-3, 40))
+def test_binom_general_matches_falling_factorial(a, b):
+    """a (a-1) ... (a-b+1) / b!, written out, for either sign of a."""
+    falling, factorial = 1, 1
+    for i in range(b):
+        falling *= a - i
+        factorial *= i + 1
+    assert binom_general(a, b) == (Fraction(falling, factorial) if b >= 0 else 0)
+
+
 @given(st.integers(-30, 30), st.integers(1, 10))
 def test_binom_general_pascal_rule(a, b):
     """C(a, b) = C(a-1, b-1) + C(a-1, b) holds for any integer upper index."""
@@ -50,6 +60,8 @@ def test_series_constructor_pads_and_truncates():
         TruncatedSeries([], order=0)
     with pytest.raises(ValueError):
         TruncatedSeries([])
+    with pytest.raises(TypeError, match="float"):
+        TruncatedSeries([1, 0.5])
 
 
 def test_series_coeff_bounds():
@@ -125,6 +137,8 @@ def test_series_compose_known_case():
     assert composed.coeffs == (1, 0, 1, 0, 1, 0)
     with pytest.raises(ValueError, match="zero constant term"):
         geom.compose(TruncatedSeries([1, 1], order=6))
+    assert geom.compose(TruncatedSeries.identity(4)) == TruncatedSeries([1] * 4)
+    assert TruncatedSeries([1] * 3).compose(t * t).coeffs == (1, 0, 1)
 
 
 def test_series_reversion_known_case():
@@ -161,6 +175,10 @@ def test_polynomial_basics():
     assert Polynomial().is_zero()
     assert p(2) == 13
     assert p(Fraction(1, 2)) == Fraction(7, 4)
+    with pytest.raises(TypeError, match="float"):
+        Polynomial([0.5])
+    with pytest.raises(TypeError):
+        p * 0.5
 
 
 def test_polynomial_arithmetic():
@@ -171,6 +189,9 @@ def test_polynomial_arithmetic():
     assert 2 * x - x == x
     assert x - x == Polynomial()
     assert Polynomial([1, 1]) == 1 + x
+    assert x**0 == Polynomial([1])
+    with pytest.raises(ValueError):
+        x ** (-1)
 
 
 def test_polynomial_evaluates_on_series():
@@ -196,11 +217,19 @@ def test_rational_function_arithmetic_and_expansion():
     combined = geom - RationalFunction(Polynomial([1]))
     assert combined == RationalFunction(x, 1 - x)
     assert (geom * geom).expand(t).coeffs == (1, 2, 3, 4, 5, 6)
+    f = RationalFunction(1 + x, 1 - x)
+    assert f**2 == f * f
+    assert ((f**2).num, (f**2).den) == (Polynomial([1, 2, 1]), Polynomial([1, -2, 1]))
+    assert ((f**0).num, (f**0).den) == (Polynomial([1]), Polynomial([1]))
+    with pytest.raises(ValueError):
+        f ** (-1)
 
 
 def test_rational_function_rejects_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         RationalFunction(Polynomial([1]), Polynomial())
+    with pytest.raises(TypeError, match="float"):
+        RationalFunction(Polynomial([1]), 0.5)
 
 
 def test_rational_function_point_evaluation():

@@ -92,6 +92,10 @@ def test_dp_distribution_returns_requested_step():
     dist = dp_distribution(WalkModel.double_large(), 3)
     assert dist.step == 3
     assert dist.prob(0) == Fraction(16, 27)
+    for p in (None, Fraction(2, 7)):
+        for model in (WalkModel.double_large(p), WalkModel.double_small(p)):
+            for n in (0, 1, 20):
+                assert dp_distribution(model, n) == dp_table(model, n)[-1]
 
 
 def test_brute_force_agrees_with_dp():
