@@ -18,7 +18,8 @@ whose symmetric functions are polynomials in t:
 Everything downstream of the kernel lives in these objects:
 
 * step probabilities of either walk at a numbered state or at BETA,
-  as explicit single or double binomial sums over Fraction,
+  as explicit single or double binomial sums, added up over the integers
+  and divided by their power of 3 once,
 * the t-expansions of the state-0 generating functions, obtained by
   composing a rational function of t with the reversion t(x),
 * the per-state rational functions of t whose x-expansions reproduce
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .exactmath import (
     DEFAULT_ORDER,
@@ -133,6 +135,27 @@ def g0_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return g0_rational().expand(t_series(order))
 
 
+def _diagonal_sum(p: int, top: int, shift: int) -> int:
+    """sum_k C(p-k, k) C(top, shift+k) over k >= max(0, -shift).
+
+    Each binomial is stepped to the next k by its exact integer ratio,
+    C(p-k-1, k+1) = C(p-k, k) (p-2k)(p-2k-1) / ((p-k)(k+1)) and
+    C(top, s+1) = C(top, s) (top-s) / (s+1), so only the first term
+    calls ``comb``.
+    """
+    k = max(0, -shift)
+    if 2 * k > p:
+        return 0
+    left, right = comb(p - k, k), comb(top, shift + k)
+    total = left * right
+    while 2 * k + 2 <= p:
+        left = left * (p - 2 * k) * (p - 2 * k - 1) // ((p - k) * (k + 1))
+        right = right * (top - shift - k) // (shift + k + 1)
+        k += 1
+        total += left * right
+    return total
+
+
 def f_state_coeff(steps: int, state: int) -> Fraction:
     """Probability that the double-large walk sits at numbered state
     ``state`` after ``steps`` steps, as a closed double sum.
@@ -144,8 +167,17 @@ def f_state_coeff(steps: int, state: int) -> Fraction:
         S1 = sum_k (-1)^k C(j-k, k)   C(k-2N-2, N-j+k)
         S2 = sum_k (-1)^k C(j-1-k, k) C(k-2N-1, N-j+k)
 
-    The value also vanishes beyond the walk's frontier, where the sums
-    would take about j/2 terms to cancel, so it returns 0 there at once.
+    The reflection C(k-2N-2, r) = (-1)^r C(3N-j+1, r), with r = N-j+k
+    (and likewise C(k-2N-1, r) = (-1)^r C(3N-j, r)), cancels every sign,
+    which leaves sums of positive integers over a power of 3:
+
+        2^(2N-j) [ S1 + 3 S2 ] / 3^(3N-j)
+        S1 = sum_k C(j-k, k)   C(3N-j+1, N-j+k)
+        S2 = sum_k C(j-1-k, k) C(3N-j,   N-j+k)
+
+    This is the form computed.  The value also vanishes beyond the walk's
+    frontier, where the sums would take about j/2 terms to cancel, so it
+    returns 0 there at once.
     """
     if steps < 0 or state < 0:
         raise ValueError("steps and state must be non-negative")
@@ -153,16 +185,9 @@ def f_state_coeff(steps: int, state: int) -> Fraction:
     if (steps + j) % 3 or j > frontier(_DOUBLE_LARGE, steps):
         return Fraction(0)
     n_blocks = (steps + j) // 3
-    s1 = Fraction(0)
-    for k in range(j // 2 + 1):
-        term = binom_general(j - k, k) * binom_general(k - 2 * n_blocks - 2, n_blocks - j + k)
-        s1 += -term if k % 2 else term
-    s2 = Fraction(0)
-    for k in range((j - 1) // 2 + 1):
-        term = binom_general(j - 1 - k, k) * binom_general(k - 2 * n_blocks - 1, n_blocks - j + k)
-        s2 += -term if k % 2 else term
-    sign = -1 if (n_blocks - j) % 2 else 1
-    return Fraction(3, 2) ** j * Fraction(4, 27) ** n_blocks * sign * (s1 + 3 * s2)
+    s1 = _diagonal_sum(j, 3 * n_blocks - j + 1, n_blocks - j)
+    s2 = _diagonal_sum(j - 1, 3 * n_blocks - j, n_blocks - j)
+    return Fraction(2 ** (2 * n_blocks - j) * (s1 + 3 * s2), 3 ** (3 * n_blocks - j))
 
 
 def fbeta_coeff(index: int) -> Fraction:
@@ -174,16 +199,27 @@ def fbeta_coeff(index: int) -> Fraction:
     return Fraction(2 ** (2 * m + 1), 3 ** (3 * m + 1)) * binom_general(3 * m + 1, m)
 
 
+def _g_sum(n_blocks: int, j: int) -> int:
+    """sum_{i=0}^{N} 4^i 3^(N-i) C(2N+j+i, i), the integer behind
+    ``g0_coeff`` (j = 0), ``gbeta_coeff`` (j = 1) and ``g_state_coeff``.
+
+    Horner in 3; each term 4^i C(2N+j+i, i) is stepped from the last by
+    its exact ratio 4 (2N+j+i+1) / (i+1).
+    """
+    top = 2 * n_blocks + j
+    total, term = 0, 1
+    for i in range(n_blocks + 1):
+        total = 3 * total + term
+        term = term * 4 * (top + i + 1) // (i + 1)
+    return total
+
+
 def g0_coeff(index: int) -> Fraction:
     """Probability that the double-small walk sits at state 0 after 3N steps:
     sum_i 2^(2i) / 3^(2N+i) * C(2N+i, i)."""
     if index < 0:
         raise ValueError("index must be non-negative")
-    n_blocks = index
-    total = Fraction(0)
-    for i in range(n_blocks + 1):
-        total += Fraction(2 ** (2 * i), 3 ** (2 * n_blocks + i)) * binom_general(2 * n_blocks + i, i)
-    return total
+    return Fraction(_g_sum(index, 0), 3 ** (3 * index))
 
 
 def gbeta_coeff(index: int) -> Fraction:
@@ -195,13 +231,7 @@ def gbeta_coeff(index: int) -> Fraction:
     """
     if index < 0:
         raise ValueError("index must be non-negative")
-    n_blocks = index
-    total = Fraction(0)
-    for i in range(n_blocks + 1):
-        total += Fraction(2 ** (2 * i), 3 ** (2 * n_blocks + i + 1)) * binom_general(
-            2 * n_blocks + 1 + i, i
-        )
-    return total
+    return Fraction(_g_sum(index, 1), 3 ** (3 * index + 1))
 
 
 def g_state_coeff(steps: int, state: int) -> Fraction:
@@ -224,12 +254,7 @@ def g_state_coeff(steps: int, state: int) -> Fraction:
     if (steps - j) % 3 or j > frontier(_DOUBLE_SMALL, steps):
         return Fraction(0)
     n_blocks = (steps - j) // 3
-    total = Fraction(0)
-    for i in range(n_blocks + 1):
-        total += Fraction(
-            2 ** (2 * i + j - 1), 3 ** (2 * n_blocks + i + j - 1)
-        ) * binom_general(2 * n_blocks + j + i, i)
-    return total
+    return Fraction(2 ** (j - 1) * _g_sum(n_blocks, j), 3 ** (3 * n_blocks + j - 1))
 
 
 def f_u_coeff(order_in_u: int) -> RationalFunction:

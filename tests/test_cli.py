@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -223,6 +224,18 @@ def test_verify_respects_step_and_order_caps(capsys):
         code, out, err = run_cli(capsys, "verify", flag, "201", "--trials", "100")
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_verify_at_both_caps_finishes_within_budget(capsys):
+    """The largest sizes verify accepts still answer in bounded time."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "verify", "--order", "200", "--max-steps", "200", "--trials", "100"
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.splitlines()[-1].startswith("overall: PASS")
+    assert elapsed < 30, f"verify at both caps took {elapsed:.1f} s"
 
 
 def test_verify_detects_corrupted_formula(capsys, monkeypatch):

@@ -12,8 +12,49 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knoedel import closedforms as cf
-from knoedel.exactmath import Polynomial, TruncatedSeries
-from knoedel.models import BETA, WalkModel, dp_table
+from knoedel.exactmath import Polynomial, TruncatedSeries, binom_general
+from knoedel.models import BETA, WalkModel, dp_table, frontier
+
+LARGE, SMALL = WalkModel.double_large(), WalkModel.double_small()
+
+
+def paper_f_state_coeff(steps, j):
+    """The paper's signed double sum, term by term over Fraction.
+
+    Terms whose lower index N-j+k is negative are 0 and are skipped, so
+    that states near the frontier at 2000 steps stay cheap.
+    """
+    if (steps + j) % 3:
+        return 0
+    n = (steps + j) // 3
+    s1 = sum((-1) ** k * binom_general(j - k, k) * binom_general(k - 2 * n - 2, n - j + k)
+             for k in range(j // 2 + 1) if n - j + k >= 0)
+    s2 = sum((-1) ** k * binom_general(j - 1 - k, k) * binom_general(k - 2 * n - 1, n - j + k)
+             for k in range((j - 1) // 2 + 1) if n - j + k >= 0)
+    sign = -1 if (n - j) % 2 else 1
+    return sign * Fraction(3, 2) ** j * Fraction(4, 27) ** n * (s1 + 3 * s2)
+
+
+def paper_g0_coeff(n):
+    return sum(Fraction(2 ** (2 * i), 3 ** (2 * n + i)) * binom_general(2 * n + i, i)
+               for i in range(n + 1))
+
+
+def paper_gbeta_coeff(n):
+    return sum(Fraction(2 ** (2 * i), 3 ** (2 * n + i + 1)) * binom_general(2 * n + 1 + i, i)
+               for i in range(n + 1))
+
+
+def paper_g_state_coeff(steps, j):
+    """The double-small sums over Fraction; N < 0 (beyond the frontier)
+    leaves an empty sum."""
+    if j == 0:
+        return paper_g0_coeff(steps // 3) if steps % 3 == 0 else 0
+    if (steps - j) % 3:
+        return 0
+    n = (steps - j) // 3
+    return sum(Fraction(2 ** (2 * i + j - 1), 3 ** (2 * n + i + j - 1))
+               * binom_general(2 * n + j + i, i) for i in range(n + 1))
 
 
 def test_f_state_coeff_frozen_values():
@@ -33,6 +74,31 @@ def test_f_state_coeff_vanishes_off_residue_and_beyond_frontier():
     assert cf.f_state_coeff(1, 5) == 0
     assert cf.f_state_coeff(0, 3) == 0
     assert cf.f_state_coeff(2, 3 * 10**6 + 1) == 0
+
+
+def test_coefficients_match_paper_sums():
+    """The sign-free, ratio-stepped integer sums equal the paper's Fraction
+    sums on every state up to six past the frontier."""
+    for n in range(60):
+        for j in range(frontier(LARGE, n) + 7):
+            assert cf.f_state_coeff(n, j) == paper_f_state_coeff(n, j), (n, j)
+        for j in range(frontier(SMALL, n) + 7):
+            assert cf.g_state_coeff(n, j) == paper_g_state_coeff(n, j), (n, j)
+        assert cf.g0_coeff(n) == paper_g0_coeff(n), n
+        assert cf.gbeta_coeff(n) == paper_gbeta_coeff(n), n
+
+
+@pytest.mark.parametrize("steps", [1000, 2000])
+def test_coefficients_match_paper_sums_near_frontier_at_large_steps(steps):
+    """Long sums, where one sign or one ratio step off would show."""
+    edge = frontier(LARGE, steps)
+    for j in range(edge - 60, edge + 4):
+        assert cf.f_state_coeff(steps, j) == paper_f_state_coeff(steps, j), j
+    edge = frontier(SMALL, steps)
+    for j in range(edge - 30, edge + 4):
+        assert cf.g_state_coeff(steps, j) == paper_g_state_coeff(steps, j), j
+    assert cf.g0_coeff(steps // 3) == paper_g0_coeff(steps // 3)
+    assert cf.gbeta_coeff(steps // 3) == paper_gbeta_coeff(steps // 3)
 
 
 def test_fbeta_coeff_frozen_values():

@@ -14,6 +14,8 @@ from knoedel.exactmath import (
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+# Ints (zero among them) and non-integer rationals of either sign.
+coefficients = st.one_of(st.integers(-3, 3), rationals)
 
 
 def series_strategy(min_order=1, max_order=8):
@@ -49,6 +51,53 @@ def test_binom_general_matches_falling_factorial(a, b):
 def test_binom_general_pascal_rule(a, b):
     """C(a, b) = C(a-1, b-1) + C(a-1, b) holds for any integer upper index."""
     assert binom_general(a, b) == binom_general(a - 1, b - 1) + binom_general(a - 1, b)
+
+
+def schoolbook_product(a, b, length):
+    """The first ``length`` coefficients of a * b, one Fraction at a time."""
+    out = [Fraction(0)] * length
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < length:
+                out[i + j] += Fraction(x) * Fraction(y)
+    return out
+
+
+def recurrence_reciprocal(a):
+    """b0 = 1/a0 and b_m = -b0 * sum_{k=1..m} a_k b_(m-k)."""
+    a = [Fraction(c) for c in a]
+    b = [1 / a[0]]
+    for m in range(1, len(a)):
+        b.append(-b[0] * sum(a[k] * b[m - k] for k in range(1, m + 1)))
+    return b
+
+
+@given(
+    st.lists(coefficients, min_size=1, max_size=9),
+    st.lists(coefficients, min_size=1, max_size=9),
+)
+def test_products_match_schoolbook_convolution(a, b):
+    """Both products equal the Fraction convolution, at unequal orders too."""
+    n = min(len(a), len(b))
+    series = TruncatedSeries(a) * TruncatedSeries(b)
+    assert series.coeffs == tuple(schoolbook_product(a[:n], b[:n], n))
+    poly = Polynomial(a) * Polynomial(b)
+    assert poly == Polynomial(schoolbook_product(a, b, len(a) + len(b) - 1))
+    assert all(type(c) is Fraction for c in series.coeffs + poly.coeffs)
+
+
+@pytest.mark.parametrize("order", range(1, 10))
+@given(
+    st.one_of(st.just(Fraction(-3, 5)), rationals.filter(bool)),
+    st.lists(coefficients, min_size=8, max_size=8),
+)
+def test_recip_matches_recurrence(order, constant, tail):
+    """Newton's doubling lands on the coefficient recurrence at every order,
+    across the pass boundaries at 2, 4 and 8."""
+    a = [constant] + tail[: order - 1]
+    got = TruncatedSeries(a).recip()
+    assert got.coeffs == tuple(recurrence_reciprocal(a))
+    assert all(type(c) is Fraction for c in got.coeffs)
 
 
 def test_series_constructor_pads_and_truncates():
