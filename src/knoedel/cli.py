@@ -86,6 +86,19 @@ def _model_from(args: argparse.Namespace) -> WalkModel:
         raise UsageError(str(exc))
 
 
+def _check_printable(value: Fraction, steps: int) -> None:
+    """Refuse an exact value that Python will not turn into a decimal string.
+
+    The value is a probability, so its denominator is its longest part.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and value.denominator >= 10**limit:
+        raise UsageError(
+            f"the exact value at {steps} steps has more than {limit} digits, "
+            "past Python's limit for integer-to-string conversion"
+        )
+
+
 def _emit(rows: list[dict], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(rows, indent=2))
@@ -135,6 +148,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
             value = closedforms.closed_form_probability(model, state, args.steps)
         except ValueError as exc:
             raise UsageError(str(exc))
+    _check_printable(value, args.steps)
     _emit(
         [
             {

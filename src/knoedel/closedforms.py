@@ -25,7 +25,9 @@ Everything downstream of the kernel lives in these objects:
 * the per-state rational functions of t whose x-expansions reproduce
   the binomial-sum coefficients column by column,
 * Girard-Waring closed sums for sigma^m + tau^m and the difference
-  quotient (sigma^m - tau^m) / (sigma - tau),
+  quotient (sigma^m - tau^m) / (sigma - tau), whose coefficients are
+  read off term by term: e = (3/2) t is a monomial, so every term
+  e^(m-2i) f^i is (3/2)^m t^(m-i) (t-1)^i,
 * the kernel identities themselves, checked exactly.
 
 Series in this module are expansions in x unless a name says otherwise;
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 from .exactmath import (
@@ -257,6 +260,28 @@ def g_state_coeff(steps: int, state: int) -> Fraction:
     return Fraction(2 ** (j - 1) * _g_sum(n_blocks, j), 3 ** (3 * n_blocks + j - 1))
 
 
+def _read_off(top: int, weights: list[int]) -> list[int]:
+    """Integer coefficients of sum_i weights[i] t^(top-i) (1-t)^i.
+
+    Term i adds weights[i] C(i, l) (-1)^l to the coefficient of
+    t^(top-i+l) for l = 0..i; C(i, l+1) is stepped from C(i, l) by its
+    exact ratio (i-l) / (l+1).
+    """
+    out = [0] * (top + 1)
+    for i, weight in enumerate(weights):
+        term = weight
+        for l in range(i + 1):
+            out[top - i + l] += term
+            term = -term * (i - l) // (l + 1)
+    return out
+
+
+def _three_halves_power(m: int, ints: list[int]) -> Polynomial:
+    """(3/2)^m times the integer polynomial with coefficients ``ints``."""
+    num, den = 3**m, 2**m
+    return Polynomial([Fraction(c * num, den) for c in ints])
+
+
 def f_u_coeff(order_in_u: int) -> RationalFunction:
     """Rational function of t behind column m of the double-large walk.
 
@@ -268,23 +293,20 @@ def f_u_coeff(order_in_u: int) -> RationalFunction:
         S1 = sum_k (-1)^k C(m-k, k)   (t-1)^k     t^(m-k)
         S2 = sum_k (-1)^k C(m-1-k, k) (t-1)^(k+1) t^(m-k)
 
+    The signs fold into powers of 1 - t: S1 = sum_k C(m-k, k) t^(m-k)
+    (1-t)^k and, with i = k + 1, -S2 = sum_i C(m-i, i-1) t^(m+1-i) (1-t)^i,
+    so the numerator's integer coefficients are read off by ``_read_off``.
+
     [x^N] of the expansion equals ``f_state_coeff(3N - m, m)``; m = 0
     degenerates to ``f0_rational``.
     """
     m = order_in_u
     if m < 0:
         raise ValueError("column index must be non-negative")
-    t_minus_1 = Polynomial([-1, 1])
-    s1 = Polynomial()
-    for k in range(m // 2 + 1):
-        term = binom_general(m - k, k) * t_minus_1**k * _T ** (m - k)
-        s1 = s1 + (-term if k % 2 else term)
-    s2 = Polynomial()
-    for k in range((m - 1) // 2 + 1):
-        term = binom_general(m - 1 - k, k) * t_minus_1 ** (k + 1) * _T ** (m - k)
-        s2 = s2 + (-term if k % 2 else term)
-    num = Fraction(3, 2) ** m * (s1 - 3 * s2)
-    return RationalFunction(num, _ONE_MINUS_3T * _ONE_MINUS_T)
+    s1 = _read_off(m, [comb(m - k, k) for k in range(m // 2 + 1)])
+    minus_s2 = _read_off(m + 1, [comb(m - i, i - 1) if i else 0 for i in range((m + 1) // 2 + 1)])
+    ints = [a + 3 * b for a, b in zip_longest(s1, minus_s2, fillvalue=0)]
+    return RationalFunction(_three_halves_power(m, ints), _ONE_MINUS_3T * _ONE_MINUS_T)
 
 
 def g_u_coeff(order_in_u: int) -> RationalFunction:
@@ -325,19 +347,20 @@ def girard_waring_power_sum(m: int) -> Polynomial:
 
     sum_{i<=m/2} (-1)^i m/(m-i) C(m-i, i) e^(m-2i) f^i
 
-    with e, f the symmetric pair.  m = 0 gives the constant 2.
+    with e, f the symmetric pair.  Since e^(m-2i) f^i = (3/2)^m t^(m-i)
+    (t-1)^i, the coefficient of t^(m-i+l) collects
+
+        (3/2)^m [C(m-i, i) + C(m-i-1, i-1)] C(i, l) (-1)^l
+
+    over i, where the bracket is the integer m/(m-i) C(m-i, i).  m = 0
+    gives the constant 2.
     """
     if m < 0:
         raise ValueError("power must be non-negative")
     if m == 0:
         return Polynomial([2])
-    pair = symmetric_pair()
-    total = Polynomial()
-    for i in range(m // 2 + 1):
-        coeff = Fraction(m, m - i) * binom_general(m - i, i)
-        term = coeff * pair.sum_of_roots ** (m - 2 * i) * pair.product_of_roots**i
-        total = total + (-term if i % 2 else term)
-    return total
+    weights = [comb(m - i, i) + (comb(m - i - 1, i - 1) if i else 0) for i in range(m // 2 + 1)]
+    return _three_halves_power(m, _read_off(m, weights))
 
 
 def girard_waring_quotient(m: int) -> Polynomial:
@@ -345,19 +368,16 @@ def girard_waring_quotient(m: int) -> Polynomial:
 
     sum_{i<=(m-1)/2} (-1)^i C(m-1-i, i) e^(m-1-2i) f^i.
 
-    m = 0 gives 0 and m = 1 gives 1.
+    As for the power sum, the coefficient of t^(m-1-i+l) collects
+    (3/2)^(m-1) C(m-1-i, i) C(i, l) (-1)^l over i.  m = 0 gives 0 and
+    m = 1 gives 1.
     """
     if m < 0:
         raise ValueError("power must be non-negative")
     if m == 0:
         return Polynomial()
-    pair = symmetric_pair()
-    total = Polynomial()
-    for i in range((m - 1) // 2 + 1):
-        coeff = binom_general(m - 1 - i, i)
-        term = coeff * pair.sum_of_roots ** (m - 1 - 2 * i) * pair.product_of_roots**i
-        total = total + (-term if i % 2 else term)
-    return total
+    weights = [comb(m - 1 - i, i) for i in range((m - 1) // 2 + 1)]
+    return _three_halves_power(m - 1, _read_off(m - 1, weights))
 
 
 @dataclass(frozen=True)

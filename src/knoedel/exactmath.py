@@ -5,7 +5,7 @@ are exact.  The three building blocks are
 
 * ``TruncatedSeries``: a formal power series kept to a fixed truncation
   order, with ring operations, reciprocal, composition and reversion
-  (compositional inverse via the Lagrange inversion formula),
+  (compositional inverse),
 * ``Polynomial``: a dense polynomial with exact coefficients,
 * ``RationalFunction``: a quotient of two polynomials, comparable by
   cross multiplication and expandable into a ``TruncatedSeries``.
@@ -16,13 +16,21 @@ non-negative powers are written once there, from each class's ``_lift``,
 ``Polynomial.__call__``, which ``TruncatedSeries.compose`` and
 ``RationalFunction.expand`` both go through.
 
-Products run on integers: ``_convolve`` scales each
-operand to integer numerators over the LCM of its denominators, convolves
-those integers, and forms each output ``Fraction`` once over the product of
-the two denominators; both ``__mul__`` methods go through it.  The
-reciprocal is Newton's method on that product, b <- b + b (1 - a b), which
-doubles the number of correct coefficients each pass (Brent and Kung, "Fast
-algorithms for manipulating formal power series", JACM 1978).
+Products run on integers: ``_convolve`` drops each operand's trailing
+zeros, scales it to integer numerators over the LCM of its denominators,
+convolves those integers, and forms each output ``Fraction`` once over the
+product of the two denominators; both ``__mul__`` methods go through it.
+The trim makes a product with a padded sparse series, such as the cubic
+x(t) held to order n, cost O(n), so composing with it is O(n^2).
+
+The reciprocal and the reversion are both Newton's method, which doubles
+the number of correct coefficients each pass (Brent and Kung, "Fast
+algorithms for manipulating formal power series", JACM 1978): b <- b +
+b (1 - a b) for 1/a, and r <- r - (A(r) - t) / A'(r) for the reversion
+of A.  The reversion evaluates A and A' by Horner, so it is fast for a
+sparse A such as x(t), but for a dense A of order n each pass costs about
+n products, which is slower than Lagrange inversion's one product per
+coefficient; nothing in the package reverses a dense series.
 
 A truncated series of order ``n`` retains the coefficients of
 ``t^0 .. t^(n-1)``.  Binary operations between series of different orders
@@ -64,13 +72,25 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _trimmed(coeffs: Sequence[Fraction]) -> Sequence[Fraction]:
+    """``coeffs`` without its trailing zeros."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return coeffs[:end]
+
+
 def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], length: int) -> list[Fraction]:
     """The first ``length`` coefficients of the product of ``a`` and ``b``.
 
+    Trailing zeros of either operand are dropped first; they add nothing
+    to the product, and a padded sparse operand (such as the cubic x(t)
+    held as a series of order n) then costs O(n) per product, not O(n^2).
     Each operand becomes integer numerators over the LCM of its
     denominators; each output coefficient is one integer dot product,
     reduced to a ``Fraction`` once.
     """
+    a, b = _trimmed(a), _trimmed(b)
     den_a = lcm(*(c.denominator for c in a))
     den_b = lcm(*(c.denominator for c in b))
     ints_a = [c.numerator * (den_a // c.denominator) for c in a]
@@ -221,22 +241,30 @@ class TruncatedSeries(_Ring):
         return Polynomial(self._coeffs[:n])(inner.truncate(n))
 
     def reversion(self) -> TruncatedSeries:
-        """Compositional inverse r with r(self) = t, by Lagrange inversion.
+        """Compositional inverse r with A(r) = t, where A is this series.
 
-        Requires zero constant term and a nonzero linear term.  Coefficient
-        formula: r_d = (1/d) [t^(d-1)] (t / self)^d.
+        Requires zero constant term and a nonzero linear term.  Newton's
+        method on A(r) - t: from r = t / a1, each pass
+        r <- r - (A(r) - t) / A'(r) doubles the number of correct
+        coefficients, up to the order of A (Brent and Kung, JACM 1978).
+        A(r) and A'(r) are Horner loops over A's first ``order``
+        coefficients, so a sparse A is cheap (for the cubic x(t), a pass
+        is four products and one ``recip``), while a dense A costs about
+        ``order`` products per pass, slower than Lagrange inversion's one
+        product per coefficient.
         """
         a = self._coeffs
         if a[0] != 0 or a[1] == 0:
             raise ValueError("not invertible as formal series")
-        n = len(a)
-        quotient = TruncatedSeries(a[1:], n).recip()
-        out = [Fraction(0)] * n
-        power = TruncatedSeries.constant(1, n)
-        for d in range(1, n):
-            power = power * quotient
-            out[d] = power.coeff(d - 1) / d
-        return TruncatedSeries(out)
+        r = TruncatedSeries([0, 1 / a[1]])
+        while r.order < len(a):
+            order = min(2 * r.order, len(a))
+            r = TruncatedSeries(r._coeffs, order)
+            head = a[:order]
+            residual = Polynomial(head)(r) - TruncatedSeries.identity(order)
+            slope = Polynomial([k * c for k, c in enumerate(head) if k])
+            r = r - residual * slope(r).recip()
+        return r
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -27,7 +27,8 @@ The moves are written once, in ``step``; the forward dynamic program
 carries integer numerators over b^n, the red edge weighing a and the
 black edge b - a; ``dp_distribution`` runs the same loop and forms only
 its last row.  A brute-force sum over all coin sequences
-(``brute_force_distribution``) is the oracle it is checked against.
+(``brute_force_distribution``), walked depth first through ``step`` with
+integer path counts, is the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -222,22 +223,34 @@ BRUTE_FORCE_LIMIT = 22
 def brute_force_distribution(model: WalkModel, steps: int) -> StepDistribution:
     """Distribution by summing over all 2^steps coin sequences.
 
-    Deliberately independent of ``dp_table``: paths are replayed one coin
-    at a time through ``step`` and weighted by p^(reds) q^(blacks).
+    Deliberately independent of ``dp_table``: the tree of coin sequences
+    is walked depth first, one coin at a time through ``step``, so paths
+    that share a prefix share its steps and at most steps + 1 branches
+    wait at any time.  Each leaf counts one path by (state, reds).  For p = a/b a
+    path with r reds weighs a^r (b-a)^(steps-r) / b^steps, so each state's
+    mass is one ``Fraction`` over b^steps, formed after the walk.
     """
     if steps < 0:
         raise ValueError("step count must be non-negative")
     if steps > BRUTE_FORCE_LIMIT:
         raise ValueError("oracle limit exceeded")
-    weight_by_reds = [model.p**r * model.q ** (steps - r) for r in range(steps + 1)]
-    acc: dict[State, Fraction] = {}
-    for mask in range(1 << steps):
-        state: State = 0
-        for k in range(steps):
-            state = model.step(state, bool(mask >> k & 1))
-        w = weight_by_reds[mask.bit_count()]
-        acc[state] = acc.get(state, Fraction(0)) + w
-    return StepDistribution(steps, acc)
+    paths: dict[tuple[State, int], int] = {}
+    branches: list[tuple[State, int, int]] = [(0, 0, 0)]  # (state, coins drawn, reds)
+    while branches:
+        state, drawn, reds = branches.pop()
+        if drawn == steps:
+            paths[state, reds] = paths.get((state, reds), 0) + 1
+            continue
+        branches.append((model.step(state, False), drawn + 1, reds))
+        branches.append((model.step(state, True), drawn + 1, reds + 1))
+    red_weight = model.p.numerator
+    black_weight = model.p.denominator - red_weight
+    masses: dict[State, int] = {}
+    for (state, reds), count in paths.items():
+        weight = count * red_weight**reds * black_weight ** (steps - reds)
+        masses[state] = masses.get(state, 0) + weight
+    den = model.p.denominator**steps
+    return StepDistribution(steps, {state: Fraction(m, den) for state, m in masses.items()})
 
 
 def residue_class(model: WalkModel, state: State) -> int:

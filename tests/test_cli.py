@@ -148,6 +148,25 @@ def test_coeff_rejects_bad_state(capsys):
     assert "invalid state" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_coeff_past_the_int_string_limit_is_usage_error(capsys, fmt):
+    """At 15000 steps the closed-form value's denominator 3^(3N-j) has
+    more than 4300 digits, Python's default int-to-string limit."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(
+            capsys, "coeff", "--model", "double-large", "--state", "0", "--steps", "15000",
+            "--source", "closed-form", "--format", fmt,
+        )
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "4300 digits" in err
+
+
 def test_series_tokens(capsys):
     code, out, _ = run_cli(capsys, "series", "--which", "inv1mt", "--order", "2")
     assert code == 0

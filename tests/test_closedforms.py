@@ -303,6 +303,45 @@ def test_girard_waring_matches_recurrence():
         assert cf.girard_waring_quotient(m) == q_cur
 
 
+def test_girard_waring_sums_match_repeated_products():
+    """The read-off sums against the Girard-Waring sums built from
+    e^k and f^i by one Polynomial product per power."""
+    pair = cf.symmetric_pair()
+    e_powers, f_powers = [Polynomial([1])], [Polynomial([1])]
+    for _ in range(200):
+        e_powers.append(e_powers[-1] * pair.sum_of_roots)
+    for _ in range(100):
+        f_powers.append(f_powers[-1] * pair.product_of_roots)
+    for m in [*range(1, 61), 200]:
+        power_sum, quotient = Polynomial(), Polynomial()
+        for i in range(m // 2 + 1):
+            term = Fraction(m, m - i) * binom_general(m - i, i) * e_powers[m - 2 * i] * f_powers[i]
+            power_sum = power_sum + (-term if i % 2 else term)
+        for i in range((m - 1) // 2 + 1):
+            term = binom_general(m - 1 - i, i) * e_powers[m - 1 - 2 * i] * f_powers[i]
+            quotient = quotient + (-term if i % 2 else term)
+        assert cf.girard_waring_power_sum(m) == power_sum
+        assert cf.girard_waring_quotient(m) == quotient
+
+
+def test_f_u_coeff_matches_product_form():
+    """The numerator (3/2)^m [S1 - 3 S2] with S1 and S2 built from powers
+    of t - 1 and t, as the docstring writes them."""
+    t, t_minus_1 = Polynomial.x(), Polynomial([-1, 1])
+    for m in range(31):
+        s1 = Polynomial()
+        for k in range(m // 2 + 1):
+            term = binom_general(m - k, k) * t_minus_1**k * t ** (m - k)
+            s1 = s1 + (-term if k % 2 else term)
+        s2 = Polynomial()
+        for k in range((m - 1) // 2 + 1):
+            term = binom_general(m - 1 - k, k) * t_minus_1 ** (k + 1) * t ** (m - k)
+            s2 = s2 + (-term if k % 2 else term)
+        got = cf.f_u_coeff(m)
+        assert got.num == Fraction(3, 2) ** m * (s1 - 3 * s2)
+        assert got.den == Polynomial([1, -3]) * Polynomial([1, -1])
+
+
 def test_girard_waring_rejects_negative_power():
     with pytest.raises(ValueError):
         cf.girard_waring_power_sum(-1)

@@ -86,6 +86,55 @@ def test_products_match_schoolbook_convolution(a, b):
     assert all(type(c) is Fraction for c in series.coeffs + poly.coeffs)
 
 
+@given(
+    st.lists(coefficients, min_size=1, max_size=6),
+    st.lists(coefficients, min_size=1, max_size=6),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+def test_products_with_trailing_zeros_match_schoolbook(a, b, pad_a, pad_b):
+    """Trailing zeros, which the product drops before its dot products,
+    change neither product; all-zero operands included."""
+    a_padded, b_padded = a + [0] * pad_a, b + [0] * pad_b
+    n = min(len(a_padded), len(b_padded))
+    series = TruncatedSeries(a_padded) * TruncatedSeries(b_padded)
+    assert series.coeffs == tuple(schoolbook_product(a_padded[:n], b_padded[:n], n))
+    poly = Polynomial(a_padded) * Polynomial(b_padded)
+    assert poly == Polynomial(schoolbook_product(a, b, len(a) + len(b) - 1))
+
+
+def lagrange_reversion(a):
+    """r_d = (1/d) [t^(d-1)] (t / A)^d, with t / A the reciprocal of
+    a1 + a2 t + ... and its powers taken by schoolbook products."""
+    n = len(a)
+    quotient = recurrence_reciprocal(list(a[1:]) + [0])
+    r = [Fraction(0)] * n
+    power = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for d in range(1, n):
+        power = schoolbook_product(power, quotient, n)
+        r[d] = power[d - 1] / d
+    return r
+
+
+nonzero = rationals.filter(bool)
+dense_tails = st.lists(nonzero, min_size=0, max_size=12)
+# Mostly zeros: a few nonzero coefficients at random places.
+sparse_tails = st.integers(0, 12).flatmap(
+    lambda length: st.dictionaries(st.integers(0, max(length - 1, 0)), nonzero, max_size=3).map(
+        lambda picked: [picked.get(k, 0) for k in range(length)]
+    )
+)
+
+
+@given(nonzero, st.one_of(dense_tails, sparse_tails))
+def test_reversion_matches_lagrange_inversion(linear, tail):
+    """Newton's reversion equals Lagrange inversion at orders 2 to 14."""
+    a = [0, linear] + tail
+    got = TruncatedSeries(a).reversion()
+    assert got.coeffs == tuple(lagrange_reversion(a))
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
 @pytest.mark.parametrize("order", range(1, 10))
 @given(
     st.one_of(st.just(Fraction(-3, 5)), rationals.filter(bool)),

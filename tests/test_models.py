@@ -114,6 +114,29 @@ def test_brute_force_agrees_for_unbalanced_probability():
         ).probabilities
 
 
+def mask_replay_distribution(model, steps):
+    """Every coin sequence replayed from state 0 in full, bit k of the mask
+    being coin k, each path weighted p^(reds) q^(blacks) over Fraction."""
+    acc = {}
+    for mask in range(1 << steps):
+        state = 0
+        for k in range(steps):
+            state = model.step(state, bool(mask >> k & 1))
+        reds = bin(mask).count("1")
+        acc[state] = acc.get(state, 0) + model.p**reds * model.q ** (steps - reds)
+    return acc
+
+
+@pytest.mark.parametrize("p", [None, Fraction(3, 7), Fraction(2, 7)])
+@pytest.mark.parametrize("kind", ["double_large", "double_small"])
+def test_brute_force_matches_mask_replay(kind, p):
+    model = getattr(WalkModel, kind)(p)
+    for n in range(13):
+        got = brute_force_distribution(model, n)
+        assert got.step == n
+        assert got.probabilities == mask_replay_distribution(model, n)
+
+
 def test_brute_force_limit():
     with pytest.raises(ValueError, match="oracle limit exceeded"):
         brute_force_distribution(WalkModel.double_large(), 23)
