@@ -5,21 +5,19 @@ double-small walks along four mutually verifying routes: dynamic
 programming over exact rationals, closed-form binomial sums, truncated
 formal power series built on the kernel substitution x = (27/4)t(1-t)^2,
 and seeded Monte Carlo simulation.
+
+The top level re-exports what the demos and the README use; everything
+else is reached through its submodule.
 """
 
 from .closedforms import (
-    IdentityCheck,
-    SymmetricPair,
-    bad_factor_root_rational,
     bad_factor_root_series,
     closed_form_probability,
-    f0_rational,
     f0_series,
     f_state_coeff,
     f_u_coeff,
     fbeta_coeff,
     g0_coeff,
-    g0_rational,
     g0_series,
     g_state_coeff,
     g_u_coeff,
@@ -32,68 +30,38 @@ from .closedforms import (
     t_series,
     x_of_t,
 )
-from .exactmath import (
-    DEFAULT_ORDER,
-    Polynomial,
-    RationalFunction,
-    TruncatedSeries,
-    binom_general,
-)
+from .exactmath import TruncatedSeries
 from .models import (
     BETA,
-    BRUTE_FORCE_LIMIT,
-    ModelKind,
-    State,
-    StepDistribution,
     WalkModel,
     brute_force_distribution,
     dp_distribution,
     dp_table,
     format_state,
-    parse_state,
     residue_class,
-    state_sort_key,
 )
 from .montecarlo import (
     DEFAULT_SEED,
-    CellCheck,
-    EmpiricalDistribution,
     SimConfig,
     four_sigma_report,
     mix64,
     simulate,
     splitmix_draw,
 )
-from .verification import SuiteResult, run_verification
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BETA",
-    "BRUTE_FORCE_LIMIT",
-    "CellCheck",
-    "DEFAULT_ORDER",
     "DEFAULT_SEED",
-    "EmpiricalDistribution",
-    "IdentityCheck",
-    "ModelKind",
-    "Polynomial",
-    "RationalFunction",
     "SimConfig",
-    "State",
-    "StepDistribution",
-    "SuiteResult",
-    "SymmetricPair",
     "TruncatedSeries",
     "WalkModel",
-    "bad_factor_root_rational",
     "bad_factor_root_series",
-    "binom_general",
     "brute_force_distribution",
     "closed_form_probability",
     "dp_distribution",
     "dp_table",
-    "f0_rational",
     "f0_series",
     "f_state_coeff",
     "f_u_coeff",
@@ -101,7 +69,6 @@ __all__ = [
     "format_state",
     "four_sigma_report",
     "g0_coeff",
-    "g0_rational",
     "g0_series",
     "g_state_coeff",
     "g_u_coeff",
@@ -111,12 +78,9 @@ __all__ = [
     "inv_one_minus_t_series",
     "kernel_identity_results",
     "mix64",
-    "parse_state",
     "residue_class",
-    "run_verification",
     "simulate",
     "splitmix_draw",
-    "state_sort_key",
     "symmetric_pair",
     "t_series",
     "x_of_t",

@@ -8,9 +8,11 @@ with ``--format json``; exact values always appear as numerator and
 denominator next to a rounded decimal.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The
-step cap on ``table --steps`` and ``verify --max-steps`` defaults to 200
-and can be overridden through the ``KNOEDEL_MAX_STEPS`` environment
-variable; ``series --order`` and ``verify --order`` are capped at 200.
+step cap on ``table --steps``, ``simulate --steps`` and ``verify
+--max-steps`` defaults to 200 and can be overridden through the
+``KNOEDEL_MAX_STEPS`` environment variable; ``series --order`` and
+``verify --order`` are capped at 200.  An exact value with more digits
+than Python's integer-to-string limit is a usage error too.
 ``python -m knoedel`` runs the same ``main``.
 """
 
@@ -71,6 +73,15 @@ def _step_cap() -> int:
     return cap
 
 
+def _check_steps(steps: int, name: str) -> None:
+    """Refuse a step count above ``_step_cap()`` or below 0."""
+    cap = _step_cap()
+    if steps > cap:
+        raise UsageError(f"{name} {steps} exceeds the safety cap {cap}")
+    if steps < 0:
+        raise UsageError(f"{name} must be non-negative")
+
+
 def _model_from(args: argparse.Namespace) -> WalkModel:
     p = None
     if getattr(args, "p", None) is not None:
@@ -86,15 +97,22 @@ def _model_from(args: argparse.Namespace) -> WalkModel:
         raise UsageError(str(exc))
 
 
-def _check_printable(value: Fraction, steps: int) -> None:
+def _printable_bound() -> int:
+    """10**limit for Python's integer-to-string limit of ``limit`` digits,
+    or 0 when the limit is off; worked out once per command."""
+    limit = sys.get_int_max_str_digits()
+    return 10**limit if limit else 0
+
+
+def _check_printable(value: Fraction, steps: int, bound: int) -> None:
     """Refuse an exact value that Python will not turn into a decimal string.
 
     The value is a probability, so its denominator is its longest part.
     """
-    limit = sys.get_int_max_str_digits()
-    if limit and value.denominator >= 10**limit:
+    if bound and value.denominator >= bound:
         raise UsageError(
-            f"the exact value at {steps} steps has more than {limit} digits, "
+            f"the exact value at {steps} steps has more than "
+            f"{sys.get_int_max_str_digits()} digits, "
             "past Python's limit for integer-to-string conversion"
         )
 
@@ -109,16 +127,14 @@ def _emit(rows: list[dict], fmt: str) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    cap = _step_cap()
-    if args.steps > cap:
-        raise UsageError(f"steps {args.steps} exceeds the safety cap {cap}")
-    if args.steps < 0:
-        raise UsageError("steps must be non-negative")
+    _check_steps(args.steps, "steps")
     model = _model_from(args)
+    bound = _printable_bound()
     rows = []
     for dist in dp_table(model, args.steps):
         for state in dist.support():
             mass = dist.prob(state)
+            _check_printable(mass, dist.step, bound)
             rows.append(
                 {
                     "model": model.name,
@@ -148,7 +164,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
             value = closedforms.closed_form_probability(model, state, args.steps)
         except ValueError as exc:
             raise UsageError(str(exc))
-    _check_printable(value, args.steps)
+    _check_printable(value, args.steps, _printable_bound())
     _emit(
         [
             {
@@ -170,11 +186,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if not 2 <= args.order <= SERIES_ORDER_CAP:
         raise UsageError(f"order must be between 2 and {SERIES_ORDER_CAP}")
-    cap = _step_cap()
-    if args.max_steps > cap:
-        raise UsageError(f"max-steps {args.max_steps} exceeds the safety cap {cap}")
-    if args.max_steps < 0:
-        raise UsageError("max-steps must be non-negative")
+    _check_steps(args.max_steps, "max-steps")
     if args.trials < 1:
         raise UsageError("trials must be positive")
     results = verification.run_verification(
@@ -206,14 +218,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise UsageError("trials must be positive")
-    if args.steps < 0:
-        raise UsageError("steps must be non-negative")
+    _check_steps(args.steps, "steps")
     model = _model_from(args)
     config = montecarlo.SimConfig(model, args.steps, args.trials, args.seed)
     empirical = montecarlo.simulate(config)
     exact = dp_distribution(model, args.steps)
+    bound = _printable_bound()
     rows = []
     for cell in montecarlo.four_sigma_report(empirical, exact):
+        _check_printable(cell.expected, args.steps, bound)
         rows.append(
             {
                 "model": model.name,

@@ -45,13 +45,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb
 
-from .exactmath import (
-    DEFAULT_ORDER,
-    Polynomial,
-    RationalFunction,
-    TruncatedSeries,
-    binom_general,
-)
+from .exactmath import Polynomial, RationalFunction, TruncatedSeries, binom_general
 from .models import ModelKind, State, WalkModel, _BetaState, frontier
 
 _T = Polynomial.x()
@@ -67,7 +61,7 @@ def x_of_t() -> Polynomial:
     return Fraction(27, 4) * _T * _ONE_MINUS_T**2
 
 
-def t_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def t_series(order: int) -> TruncatedSeries:
     """Reversion t(x) of x = (27/4) t (1-t)^2, by its explicit coefficients.
 
     [x^k] t = (1/k) C(3k-2, k-1) 2^(2k) / 3^(3k) for k >= 1.  The first
@@ -81,7 +75,7 @@ def t_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return TruncatedSeries(coeffs, order)
 
 
-def inv_one_minus_t_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def inv_one_minus_t_series(order: int) -> TruncatedSeries:
     """Expansion of 1 / (1 - t(x)) in x.
 
     [x^k] = (1/(2k+1)) C(3k, k) 2^(2k) / 3^(3k); the constant term is 1.
@@ -99,7 +93,7 @@ def bad_factor_root_rational() -> RationalFunction:
     return RationalFunction(Polynomial([2]), 3 * _ONE_MINUS_T)
 
 
-def bad_factor_root_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def bad_factor_root_series(order: int) -> TruncatedSeries:
     """Expansion of the bad-factor root 2 / (3(1 - t(x))) in x.
 
     [x^k] = (1/(2k+1)) C(3k, k) 2^(2k+1) / 3^(3k+1), starting 2/3 + (8/81) x
@@ -120,7 +114,7 @@ def f0_rational() -> RationalFunction:
     return RationalFunction(Polynomial([1]), _ONE_MINUS_T * _ONE_MINUS_3T)
 
 
-def f0_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def f0_series(order: int) -> TruncatedSeries:
     """x-expansion of f0; [x^N] is the probability of state 0 after 3N steps
     of the double-large walk."""
     return f0_rational().expand(t_series(order))
@@ -132,7 +126,7 @@ def g0_rational() -> RationalFunction:
     return RationalFunction(Polynomial([4]), _ONE_MINUS_3T * _FOUR_MINUS_3T)
 
 
-def g0_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def g0_series(order: int) -> TruncatedSeries:
     """x-expansion of g0; [x^N] is the probability of state 0 after 3N steps
     of the double-small walk."""
     return g0_rational().expand(t_series(order))

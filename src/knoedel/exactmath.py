@@ -47,8 +47,6 @@ from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-DEFAULT_ORDER = 32
-
 
 def binom_general(a: int, b: int) -> Fraction:
     """Binomial coefficient C(a, b) for arbitrary integer upper index.
@@ -158,15 +156,7 @@ class TruncatedSeries(_Ring):
         self._coeffs = tuple(vals)
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-        return cls([], order)
-
-    @classmethod
-    def constant(cls, value: Scalar, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-        return cls([value], order)
-
-    @classmethod
-    def identity(cls, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    def identity(cls, order: int) -> TruncatedSeries:
         """The series t itself."""
         return cls([0, 1], order)
 
@@ -299,11 +289,6 @@ class Polynomial(_Ring):
     def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self._coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -414,14 +399,6 @@ class RationalFunction(_Ring):
     def expand(self, series: TruncatedSeries) -> TruncatedSeries:
         """Expand num/den around the substituted series argument."""
         return self.num(series) * self.den(series).recip()
-
-    def __call__(self, point):
-        if isinstance(point, TruncatedSeries):
-            return self.expand(point)
-        den = self.den(point)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num(point) / den
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"

@@ -146,10 +146,8 @@ class StepDistribution:
         return self.probabilities.get(state, Fraction(0))
 
     def support(self) -> list[State]:
-        return sorted(
-            (s for s, mass in self.probabilities.items() if mass != 0),
-            key=state_sort_key,
-        )
+        """States with mass, BETA last; no route stores a zero mass."""
+        return sorted(self.probabilities, key=state_sort_key)
 
     def total(self) -> Fraction:
         return sum(self.probabilities.values(), Fraction(0))

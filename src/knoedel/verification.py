@@ -7,11 +7,15 @@ explicit series coefficients against reversion and reciprocal, closed
 Girard-Waring sums against their defining recurrences, and simulation
 against exact probabilities.  A suite never trusts the route it is
 checking; failures carry enough context to locate the disagreement.
+
+Every suite returns a ``SuiteResult``: the suite calls its ``check``
+once per comparison, which counts the check and keeps the label of each
+one that fails, and ``passed`` holds while no check has failed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import closedforms, montecarlo
@@ -31,27 +35,20 @@ from .models import (
 
 @dataclass
 class SuiteResult:
-    """Outcome of one verification suite."""
+    """Outcome of one verification suite, filled in one ``check`` at a time."""
 
     name: str
-    passed: bool
-    checks: int
-    failures: list[str]
-
-
-class _Suite:
-    def __init__(self, name: str):
-        self.name = name
-        self.checks = 0
-        self.failures: list[str] = []
+    checks: int = 0
+    failures: list[str] = field(default_factory=list)
 
     def check(self, ok: bool, label: str) -> None:
         self.checks += 1
         if not ok:
             self.failures.append(label)
 
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, not self.failures, self.checks, self.failures)
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def _both_models() -> list[WalkModel]:
@@ -60,7 +57,7 @@ def _both_models() -> list[WalkModel]:
 
 def normalization_and_support_suite(max_steps: int = 30) -> SuiteResult:
     """Rows sum to one and mass stays inside the residue class."""
-    suite = _Suite("normalization-and-support")
+    suite = SuiteResult("normalization-and-support")
     for model in _both_models():
         for row in dp_table(model, max_steps):
             n = row.step
@@ -75,12 +72,12 @@ def normalization_and_support_suite(max_steps: int = 30) -> SuiteResult:
                         state <= frontier(model, n),
                         f"{model.name} step {n}: state {state} beyond frontier",
                     )
-    return suite.result()
+    return suite
 
 
 def oracle_equivalence_suite(max_steps: int = 12) -> SuiteResult:
     """Forward DP equals brute-force path enumeration."""
-    suite = _Suite("oracle-equivalence")
+    suite = SuiteResult("oracle-equivalence")
     cap = min(max_steps, BRUTE_FORCE_LIMIT)
     for model in _both_models():
         rows = dp_table(model, cap)
@@ -90,12 +87,12 @@ def oracle_equivalence_suite(max_steps: int = 12) -> SuiteResult:
                 rows[n].probabilities == brute.probabilities,
                 f"{model.name} step {n}: dp and brute force disagree",
             )
-    return suite.result()
+    return suite
 
 
 def recursion_fidelity_suite(max_steps: int = 30) -> SuiteResult:
     """DP rows satisfy the incoming-edge recursions written out by hand."""
-    suite = _Suite("recursion-fidelity")
+    suite = SuiteResult("recursion-fidelity")
     for model in _both_models():
         p, q = model.p, model.q
         rows = dp_table(model, max_steps)
@@ -116,12 +113,12 @@ def recursion_fidelity_suite(max_steps: int = 30) -> SuiteResult:
                     cur.prob(state) == mass,
                     f"{model.name} step {n}: state {state} breaks the recursion",
                 )
-    return suite.result()
+    return suite
 
 
 def closed_form_grid_suite(max_steps: int = 30) -> SuiteResult:
     """Closed-form coefficients match DP on the full reachable grid."""
-    suite = _Suite("closed-form-grid")
+    suite = SuiteResult("closed-form-grid")
     for model in _both_models():
         rows = dp_table(model, max_steps)
         for n in range(max_steps + 1):
@@ -134,12 +131,12 @@ def closed_form_grid_suite(max_steps: int = 30) -> SuiteResult:
                     f"{model.name} step {n} state {state}: "
                     f"closed form {got} != dp {row.prob(state)}",
                 )
-    return suite.result()
+    return suite
 
 
 def series_suite(order: int = 30) -> SuiteResult:
     """Explicit series coefficients against reversion and reciprocal."""
-    suite = _Suite("series")
+    suite = SuiteResult("series")
     order = max(order, 2)
     t = closedforms.t_series(order)
     x_poly = closedforms.x_of_t()
@@ -174,15 +171,15 @@ def series_suite(order: int = 30) -> SuiteResult:
             g0.coeff(n_blocks) == small[3 * n_blocks].prob(0),
             f"g0 coefficient {n_blocks} differs from dp",
         )
-    return suite.result()
+    return suite
 
 
 def kernel_identity_suite() -> SuiteResult:
     """The three exact kernel identities."""
-    suite = _Suite("kernel-identities")
+    suite = SuiteResult("kernel-identities")
     for item in closedforms.kernel_identity_results():
         suite.check(item.holds, f"{item.name}: {item.detail}")
-    return suite.result()
+    return suite
 
 
 def girard_waring_suite(max_power: int = 40) -> SuiteResult:
@@ -191,7 +188,7 @@ def girard_waring_suite(max_power: int = 40) -> SuiteResult:
     Both sequences satisfy a_m = e a_(m-1) - f a_(m-2); the power sums
     start 2, e and the difference quotients start 0, 1.
     """
-    suite = _Suite("girard-waring")
+    suite = SuiteResult("girard-waring")
     pair = closedforms.symmetric_pair()
     e, f = pair.sum_of_roots, pair.product_of_roots
     power_sums = [Polynomial([2]), e]
@@ -208,12 +205,12 @@ def girard_waring_suite(max_power: int = 40) -> SuiteResult:
             closedforms.girard_waring_quotient(m) == quotients[m],
             f"difference quotient {m} differs from recurrence",
         )
-    return suite.result()
+    return suite
 
 
 def column_consistency_suite(max_column: int = 12, max_blocks: int = 8) -> SuiteResult:
     """Per-column rational functions reproduce the coefficient formulas."""
-    suite = _Suite("column-consistency")
+    suite = SuiteResult("column-consistency")
     t = closedforms.t_series(max_blocks + 1)
     for m in range(max_column + 1):
         expansion = closedforms.f_u_coeff(m).expand(t)
@@ -243,14 +240,14 @@ def column_consistency_suite(max_column: int = 12, max_blocks: int = 8) -> Suite
             == Fraction(1, 3) * closedforms.g_state_coeff(3 * n_blocks + 1, 1),
             f"double-small BETA block {n_blocks} breaks the one-step relation",
         )
-    return suite.result()
+    return suite
 
 
 def simulation_suite(
     trials: int = 20000, steps: int = 6, seed: int = montecarlo.DEFAULT_SEED
 ) -> SuiteResult:
     """Quick seeded simulation against exact probabilities, 4-sigma cells."""
-    suite = _Suite("simulation-four-sigma")
+    suite = SuiteResult("simulation-four-sigma")
     for model in _both_models():
         exact = dp_distribution(model, steps)
         empirical = montecarlo.simulate(montecarlo.SimConfig(model, steps, trials, seed))
@@ -260,7 +257,7 @@ def simulation_suite(
                 f"{model.name} step {steps} state {cell.state}: "
                 f"deviation {float(cell.deviation):.2e} exceeds 4-sigma {cell.bound:.2e}",
             )
-    return suite.result()
+    return suite
 
 
 def run_verification(

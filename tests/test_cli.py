@@ -17,6 +17,7 @@ from knoedel.cli import decimal_string, main
 REPO = Path(__file__).resolve().parent.parent
 PYPROJECT = REPO / "pyproject.toml"
 DEMOS = REPO / "demos"
+README = REPO / "README.md"
 
 # What an installer's console-script wrapper does: load the entry point
 # named in argv[1:3], make argv look as if the script itself was run, and
@@ -78,14 +79,17 @@ def test_table_json_output(capsys):
 
 
 def test_table_respects_step_cap(capsys, monkeypatch):
-    monkeypatch.setenv("KNOEDEL_MAX_STEPS", "4")
-    code, out, err = run_cli(capsys, "table", "--model", "double-large", "--steps", "5")
-    assert code == 2
-    assert "safety cap 4" in err
-    monkeypatch.setenv("KNOEDEL_MAX_STEPS", "210")
-    code, out, err = run_cli(capsys, "table", "--model", "double-small", "--steps", "205")
-    assert code == 0
-    assert out.splitlines()[-1].startswith("double-small,205,")
+    """``table`` and ``simulate --steps`` share the cap."""
+    for command in (["table"], ["simulate", "--trials", "10"]):
+        monkeypatch.setenv("KNOEDEL_MAX_STEPS", "4")
+        code, out, err = run_cli(capsys, *command, "--model", "double-large", "--steps", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "safety cap 4" in err
+        monkeypatch.setenv("KNOEDEL_MAX_STEPS", "210")
+        code, out, err = run_cli(capsys, *command, "--model", "double-small", "--steps", "205")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("double-small,205,")
 
 
 def test_table_rejects_bad_cap_value(capsys, monkeypatch):
@@ -148,23 +152,34 @@ def test_coeff_rejects_bad_state(capsys):
     assert "invalid state" in err
 
 
+# Each command meets a value of more than 4300 digits, Python's default
+# int-to-string limit.
+UNPRINTABLE = [
+    # The closed-form value's denominator 3^(3N-j) at 15000 steps.
+    ["coeff", "--model", "double-large", "--state", "0", "--steps", "15000",
+     "--source", "closed-form"],
+    # Denominators 10^6000 at step 3: p = 1/10^2000 over three draws.
+    ["table", "--model", "double-large", "--steps", "3", "--p", "1e-2000"],
+    # Denominators 10^4500 at step 4; the first double-small step moves
+    # 0 -> 1 on either colour, so it adds no factor.
+    ["simulate", "--model", "double-small", "--steps", "4", "--trials", "5",
+     "--p", "1e-1500"],
+]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_coeff_past_the_int_string_limit_is_usage_error(capsys, fmt):
-    """At 15000 steps the closed-form value's denominator 3^(3N-j) has
-    more than 4300 digits, Python's default int-to-string limit."""
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        code, out, err = run_cli(
-            capsys, "coeff", "--model", "double-large", "--state", "0", "--steps", "15000",
-            "--source", "closed-form", "--format", fmt,
-        )
+        runs = [run_cli(capsys, *command, "--format", fmt) for command in UNPRINTABLE]
     finally:
         sys.set_int_max_str_digits(previous)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("error: ") and "4300 digits" in err
+    for command, (code, out, err) in zip(UNPRINTABLE, runs):
+        assert code == 2, command[0]
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "4300 digits" in err
 
 
 def test_series_tokens(capsys):
@@ -341,6 +356,15 @@ def test_module_invocation():
         result = run_python("-m", module, "series", "--which", "t", "--order", "2")
         assert result.returncode == 0
         assert result.stdout.splitlines()[2] == "t,1,4,27,0.148148148148"
+
+
+def test_readme_library_example_runs_clean():
+    readme = README.read_text()
+    section = readme[readme.index("## Library example"):]
+    code = section[section.index("```python\n") + len("```python\n"):]
+    result = run_python("-c", code[:code.index("```")])
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 @pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
