@@ -7,12 +7,22 @@ suites), ``simulate`` (seeded Monte Carlo against exact values) and
 with ``--format json``; exact values always appear as numerator and
 denominator next to a rounded decimal.
 
+Each printing command builds its rows as tuples under a fixed header
+and hands them to ``_emit``.  CSV goes through ``csv.writer``; JSON goes
+through a small writer that gives the bytes of ``json.dumps`` with
+``indent=2`` for the same rows as dicts, without CPython's pure-Python
+indenting encoder.  ``decimal_string`` does all rounding, through one
+cached decimal context per digit count.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The
 step cap on ``table --steps``, ``simulate --steps`` and ``verify
 --max-steps`` defaults to 200 and can be overridden through the
 ``KNOEDEL_MAX_STEPS`` environment variable; ``series --order`` and
 ``verify --order`` are capped at 200.  An exact value with more digits
-than Python's integer-to-string limit is a usage error too.
+than Python's integer-to-string limit is a usage error too.  ``table``
+and ``simulate`` decide that before any DP or simulation runs, from
+p's denominator: the largest denominator at step n is a known power of
+it (``models.denominator_power``).
 ``python -m knoedel`` runs the same ``main``.
 """
 
@@ -20,15 +30,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import closedforms, montecarlo, verification
 from .models import (
     WalkModel,
+    denominator_power,
     dp_distribution,
     dp_table,
     format_state,
@@ -38,6 +49,14 @@ from .models import (
 
 DEFAULT_STEP_CAP = 200
 SERIES_ORDER_CAP = 200
+
+TABLE_HEADER = ("model", "step", "state", "num", "den", "decimal")
+COEFF_HEADER = ("model", "steps", "state", "source", "num", "den", "decimal", "note")
+SIMULATE_HEADER = (
+    "model", "steps", "trials", "seed", "state", "count", "frequency", "num", "den",
+    "exact_decimal", "deviation", "four_sigma_bound", "within",
+)
+SERIES_HEADER = ("series", "k", "num", "den", "decimal")
 
 SERIES_TOKENS = {
     "t": closedforms.t_series,
@@ -52,12 +71,17 @@ class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 2."""
 
 
+# One decimal context per digit count, built on first use.  Other than
+# ``prec`` a new Context takes the defaults a fresh thread starts with.
+_CONTEXTS: dict[int, Context] = {}
+
+
 def decimal_string(value: Fraction, digits: int) -> str:
     """Round an exact rational to ``digits`` significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        quotient = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(quotient)
+    context = _CONTEXTS.get(digits)
+    if context is None:
+        context = _CONTEXTS[digits] = Context(prec=digits)
+    return str(context.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
 def _step_cap() -> int:
@@ -104,48 +128,89 @@ def _printable_bound() -> int:
     return 10**limit if limit else 0
 
 
+def _unprintable(steps: int) -> UsageError:
+    return UsageError(
+        f"the exact value at {steps} steps has more than "
+        f"{sys.get_int_max_str_digits()} digits, "
+        "past Python's limit for integer-to-string conversion"
+    )
+
+
 def _check_printable(value: Fraction, steps: int, bound: int) -> None:
     """Refuse an exact value that Python will not turn into a decimal string.
 
     The value is a probability, so its denominator is its longest part.
     """
     if bound and value.denominator >= bound:
-        raise UsageError(
-            f"the exact value at {steps} steps has more than "
-            f"{sys.get_int_max_str_digits()} digits, "
-            "past Python's limit for integer-to-string conversion"
-        )
+        raise _unprintable(steps)
 
 
-def _emit(rows: list[dict], fmt: str) -> None:
+def _first_unprintable_step(model: WalkModel, steps: int) -> int | None:
+    """First step in 0..steps with a mass past ``_printable_bound()``, or None.
+
+    The largest denominator at step n is b**denominator_power(model, n)
+    for p = a/b, and it never shrinks as n grows, so this is the step a
+    scan of every mass would stop at, found without running the walk.
+    """
+    bound = _printable_bound()
+    if bound:
+        base = model.p.denominator
+        for n in range(steps + 1):
+            if base ** denominator_power(model, n) >= bound:
+                return n
+    return None
+
+
+_JSON_VALUE = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+
+
+def _write_json(rows: list[tuple], header: tuple[str, ...]) -> None:
+    """Write ``json.dumps([dict(zip(header, row)) for row in rows],
+    indent=2)`` and a newline, for at least one row and one column of
+    str, int and bool values."""
+    keys = [
+        ("," if i else "") + "\n    " + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+        for i, key in enumerate(header)
+    ]
+    template = "{" + "".join(keys) + "\n  }"
+    write = sys.stdout.write
+    lead = "[\n  "
+    for row in rows:
+        write(lead + template % tuple([_JSON_VALUE[value.__class__](value) for value in row]))
+        lead = ",\n  "
+    write("\n]\n")
+
+
+def _emit(rows: list[tuple], fmt: str, header: tuple[str, ...]) -> None:
     if fmt == "json":
-        print(json.dumps(rows, indent=2))
+        _write_json(rows, header)
         return
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
     writer.writerows(rows)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     _check_steps(args.steps, "steps")
     model = _model_from(args)
-    bound = _printable_bound()
+    first = _first_unprintable_step(model, args.steps)
+    if first is not None:
+        raise _unprintable(first)
+    name, digits = model.name, args.digits
     rows = []
     for dist in dp_table(model, args.steps):
+        masses = dist.probabilities
         for state in dist.support():
-            mass = dist.prob(state)
-            _check_printable(mass, dist.step, bound)
-            rows.append(
-                {
-                    "model": model.name,
-                    "step": dist.step,
-                    "state": format_state(state),
-                    "num": mass.numerator,
-                    "den": mass.denominator,
-                    "decimal": decimal_string(mass, args.digits),
-                }
-            )
-    _emit(rows, args.format)
+            mass = masses[state]
+            rows.append((
+                name, dist.step, format_state(state), mass.numerator, mass.denominator,
+                decimal_string(mass, digits),
+            ))
+    _emit(rows, args.format, TABLE_HEADER)
     return 0
 
 
@@ -165,21 +230,12 @@ def cmd_coeff(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(str(exc))
     _check_printable(value, args.steps, _printable_bound())
-    _emit(
-        [
-            {
-                "model": model.name,
-                "steps": args.steps,
-                "state": format_state(state),
-                "source": args.source,
-                "num": value.numerator,
-                "den": value.denominator,
-                "decimal": decimal_string(value, args.digits),
-                "note": "" if residue_class(model, state) == args.steps % 3 else "off-residue",
-            }
-        ],
-        args.format,
+    note = "" if residue_class(model, state) == args.steps % 3 else "off-residue"
+    row = (
+        model.name, args.steps, format_state(state), args.source, value.numerator,
+        value.denominator, decimal_string(value, args.digits), note,
     )
+    _emit([row], args.format, COEFF_HEADER)
     return 0
 
 
@@ -220,31 +276,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError("trials must be positive")
     _check_steps(args.steps, "steps")
     model = _model_from(args)
+    if _first_unprintable_step(model, args.steps) is not None:
+        raise _unprintable(args.steps)
     config = montecarlo.SimConfig(model, args.steps, args.trials, args.seed)
     empirical = montecarlo.simulate(config)
     exact = dp_distribution(model, args.steps)
-    bound = _printable_bound()
-    rows = []
-    for cell in montecarlo.four_sigma_report(empirical, exact):
-        _check_printable(cell.expected, args.steps, bound)
-        rows.append(
-            {
-                "model": model.name,
-                "steps": args.steps,
-                "trials": args.trials,
-                "seed": args.seed,
-                "state": format_state(cell.state),
-                "count": cell.count,
-                "frequency": decimal_string(cell.frequency, args.digits),
-                "num": cell.expected.numerator,
-                "den": cell.expected.denominator,
-                "exact_decimal": decimal_string(cell.expected, args.digits),
-                "deviation": decimal_string(cell.deviation, args.digits),
-                "four_sigma_bound": repr(cell.bound),
-                "within": cell.within,
-            }
+    digits = args.digits
+    rows = [
+        (
+            model.name, args.steps, args.trials, args.seed, format_state(cell.state),
+            cell.count, decimal_string(cell.frequency, digits), cell.expected.numerator,
+            cell.expected.denominator, decimal_string(cell.expected, digits),
+            decimal_string(cell.deviation, digits), repr(cell.bound), cell.within,
         )
-    _emit(rows, args.format)
+        for cell in montecarlo.four_sigma_report(empirical, exact)
+    ]
+    _emit(rows, args.format, SIMULATE_HEADER)
     return 0
 
 
@@ -255,16 +302,11 @@ def cmd_series(args: argparse.Namespace) -> int:
     rows = []
     for k in range(series.order):
         value = series.coeff(k)
-        rows.append(
-            {
-                "series": args.which,
-                "k": k,
-                "num": value.numerator,
-                "den": value.denominator,
-                "decimal": decimal_string(value, args.digits),
-            }
-        )
-    _emit(rows, args.format)
+        rows.append((
+            args.which, k, value.numerator, value.denominator,
+            decimal_string(value, args.digits),
+        ))
+    _emit(rows, args.format, SERIES_HEADER)
     return 0
 
 

@@ -52,6 +52,8 @@ BETA = _BetaState()
 
 State = Union[int, _BetaState]
 
+_ZERO = Fraction(0)
+
 
 def state_sort_key(state: State) -> tuple[int, int]:
     """Sort numbered states ascending, with BETA after all integers."""
@@ -143,14 +145,14 @@ class StepDistribution:
     probabilities: dict[State, Fraction] = field(default_factory=dict)
 
     def prob(self, state: State) -> Fraction:
-        return self.probabilities.get(state, Fraction(0))
+        return self.probabilities.get(state, _ZERO)
 
     def support(self) -> list[State]:
         """States with mass, BETA last; no route stores a zero mass."""
         return sorted(self.probabilities, key=state_sort_key)
 
     def total(self) -> Fraction:
-        return sum(self.probabilities.values(), Fraction(0))
+        return sum(self.probabilities.values(), _ZERO)
 
 
 def successor_slots(
@@ -265,3 +267,16 @@ def residue_class(model: WalkModel, state: State) -> int:
 def frontier(model: WalkModel, steps: int) -> int:
     """Largest numbered state the walk can reach in ``steps`` steps."""
     return 2 * steps if model.kind is ModelKind.DOUBLE_LARGE else steps
+
+
+def denominator_power(model: WalkModel, steps: int) -> int:
+    """Exponent e such that, for p = a/b in lowest terms, b^e is the
+    largest reduced denominator of the step distribution at ``steps``.
+
+    Every mass sits over b^e, and the frontier state's mass is p^e: e is
+    ``steps`` for double-large, and one less for double-small, whose first
+    move 0 -> 1 takes either colour.
+    """
+    if model.kind is ModelKind.DOUBLE_LARGE:
+        return steps
+    return max(steps - 1, 0)

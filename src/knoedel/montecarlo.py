@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .models import (
     State,
     StepDistribution,
@@ -64,6 +62,8 @@ def red_threshold(p: Fraction) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
@@ -101,7 +101,10 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     Vectorized with numpy over trials; the per-draw semantics match
     ``splitmix_draw`` bit for bit.  Trials hold slots of
     ``successor_slots`` and each step gathers the red or black successor.
+    numpy is imported here, so commands that never simulate skip it.
     """
+    import numpy as np
+
     if config.trials < 1:
         raise ValueError("trials must be positive")
     if config.steps < 0:

@@ -1,18 +1,25 @@
 """Tests for the command line interface, including exit codes."""
 
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import knoedel
 from knoedel import closedforms
-from knoedel.cli import decimal_string, main
+from knoedel.cli import _emit, decimal_string, main
+from knoedel.models import WalkModel, dp_table, format_state
 
 REPO = Path(__file__).resolve().parent.parent
 PYPROJECT = REPO / "pyproject.toml"
@@ -38,11 +45,105 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def localcontext_decimal(value, digits):
+    """Rounding as ``decimal_string`` did it before it cached its contexts."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(Decimal(value.numerator) / Decimal(value.denominator))
+
+
+def emitted(rows, fmt, header):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(rows, fmt, header)
+    return out.getvalue()
+
+
+def dict_writer_output(header, dict_rows):
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=list(header), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(dict_rows)
+    return out.getvalue()
+
+
 def test_decimal_string_rounds_significant_digits():
     assert decimal_string(Fraction(16, 27), 12) == "0.592592592593"
     assert decimal_string(Fraction(1, 3), 4) == "0.3333"
     assert decimal_string(Fraction(0), 12) == "0"
     assert decimal_string(Fraction(2), 5) == "2"
+    assert decimal_string(Fraction(1, 4), 12) == "0.25"
+    assert decimal_string(Fraction(1, 10**30), 12) == "1E-30"
+    assert decimal_string(Fraction(123456, 1), 3) == "1.23E+5"
+
+
+@given(
+    st.fractions(min_value=0, max_value=10**6) | st.fractions(),
+    st.integers(min_value=1, max_value=60),
+)
+@example(Fraction(1, 4), 12)
+@example(Fraction(1, 4), 1)
+@example(Fraction(1, 10**30), 12)
+@example(Fraction(3, 10**30), 40)
+@example(Fraction(0), 1)
+@example(Fraction(123456789, 1000), 3)
+def test_decimal_string_matches_a_local_context(value, digits):
+    assert decimal_string(value, digits) == localcontext_decimal(value, digits)
+
+
+# Field text that CSV quoting, JSON escaping or %-formatting could trip on.
+awkward_text = st.text(alphabet=st.sampled_from('a,"\\\n\r%s{}: \u00e9\u20ac\U0001f600\t')) | st.text()
+field_values = awkward_text | st.integers() | st.integers(-10**80, 10**80) | st.booleans()
+
+
+@st.composite
+def headers_and_rows(draw):
+    """Every command prints at least one row under at least one column."""
+    header = tuple(draw(st.lists(awkward_text, min_size=1, max_size=6, unique=True)))
+    width = st.tuples(*[field_values] * len(header))
+    return header, draw(st.lists(width, min_size=1, max_size=5))
+
+
+@given(headers_and_rows())
+@example((("%s", "%%", "\u00e9"), [("%d", 10**70, True), ("", -3, False)]))
+def test_emit_matches_json_dumps_and_dict_writer(header_rows):
+    header, rows = header_rows
+    dict_rows = [dict(zip(header, row)) for row in rows]
+    assert emitted(rows, "json", header) == json.dumps(dict_rows, indent=2) + "\n"
+    assert emitted(rows, "csv", header) == dict_writer_output(header, dict_rows)
+
+
+def old_table_output(model, steps, digits, fmt):
+    """``table`` stdout as dict rows through ``json.dumps``/``DictWriter``."""
+    rows = [
+        {
+            "model": model.name,
+            "step": dist.step,
+            "state": format_state(state),
+            "num": dist.prob(state).numerator,
+            "den": dist.prob(state).denominator,
+            "decimal": localcontext_decimal(dist.prob(state), digits),
+        }
+        for dist in dp_table(model, steps)
+        for state in dist.support()
+    ]
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    return dict_writer_output(list(rows[0]), rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("digits", [3, 40])
+@pytest.mark.parametrize("p", [None, "2/7"])
+@pytest.mark.parametrize("model", ["double-large", "double-small"])
+def test_table_output_matches_dict_rows(capsys, model, p, digits, fmt):
+    walk = (WalkModel.double_large if model == "double-large" else WalkModel.double_small)(
+        None if p is None else Fraction(p)
+    )
+    argv = ["table", "--model", model, "--steps", "40", "--digits", str(digits), "--format", fmt]
+    code, out, err = run_cli(capsys, *argv, *([] if p is None else ["--p", p]))
+    assert code == 0 and err == ""
+    assert out == old_table_output(walk, 40, digits, fmt)
 
 
 def test_table_csv_output(capsys):
@@ -153,17 +254,22 @@ def test_coeff_rejects_bad_state(capsys):
 
 
 # Each command meets a value of more than 4300 digits, Python's default
-# int-to-string limit.
+# int-to-string limit, and names the step it first meets it at.
 UNPRINTABLE = [
     # The closed-form value's denominator 3^(3N-j) at 15000 steps.
-    ["coeff", "--model", "double-large", "--state", "0", "--steps", "15000",
-     "--source", "closed-form"],
+    (["coeff", "--model", "double-large", "--state", "0", "--steps", "15000",
+      "--source", "closed-form"], 15000),
     # Denominators 10^6000 at step 3: p = 1/10^2000 over three draws.
-    ["table", "--model", "double-large", "--steps", "3", "--p", "1e-2000"],
+    (["table", "--model", "double-large", "--steps", "3", "--p", "1e-2000"], 3),
+    # The same step refused before a DP over 100 steps of 2000-digit weights.
+    (["table", "--model", "double-large", "--steps", "100", "--p", "1e-2000"], 3),
     # Denominators 10^4500 at step 4; the first double-small step moves
     # 0 -> 1 on either colour, so it adds no factor.
-    ["simulate", "--model", "double-small", "--steps", "4", "--trials", "5",
-     "--p", "1e-1500"],
+    (["simulate", "--model", "double-small", "--steps", "4", "--trials", "5",
+      "--p", "1e-1500"], 4),
+    # Refused before the simulation and the DP of 200 steps.
+    (["simulate", "--model", "double-small", "--steps", "200", "--trials", "10",
+      "--p", "1e-2000"], 200),
 ]
 
 
@@ -171,15 +277,48 @@ UNPRINTABLE = [
 def test_coeff_past_the_int_string_limit_is_usage_error(capsys, fmt):
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
+    runs = []
     try:
-        runs = [run_cli(capsys, *command, "--format", fmt) for command in UNPRINTABLE]
+        for command, _ in UNPRINTABLE:
+            start = time.perf_counter()
+            runs.append(run_cli(capsys, *command, "--format", fmt))
+            runs[-1] += (time.perf_counter() - start,)
     finally:
         sys.set_int_max_str_digits(previous)
-    for command, (code, out, err) in zip(UNPRINTABLE, runs):
+    for (command, step), (code, out, err, elapsed) in zip(UNPRINTABLE, runs):
         assert code == 2, command[0]
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "4300 digits" in err
+        assert f" at {step} steps " in err
+        assert elapsed < 3, f"{' '.join(command)} took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize(
+    "p",
+    ["1e-100", f"2/{7**60}", f"{7**60 - 1}/{7**60}", f"3/{2**500}"],
+    ids=["1e-100", "2/7^60", "(7^60-1)/7^60", "3/2^500"],
+)
+@pytest.mark.parametrize("model", ["double-large", "double-small"])
+def test_table_refuses_the_step_a_row_scan_would(capsys, model, p):
+    """At the lowest int-to-string limit, 640 digits, ``table`` names the
+    first step whose masses a scan of the whole DP finds past the limit."""
+    walk = (WalkModel.double_large if model == "double-large" else WalkModel.double_small)(
+        Fraction(p)
+    )
+    steps = 40
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "table", "--model", model, "--steps", str(steps), "--p", p)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    scan = next(
+        dist.step for dist in dp_table(walk, steps)
+        if any(mass.denominator >= 10**640 for mass in dist.probabilities.values())
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: the exact value at {scan} steps ")
 
 
 def test_series_tokens(capsys):
@@ -349,6 +488,19 @@ def test_console_script_entry_point():
     assert result.stdout == ""
     assert result.stderr.startswith("error:")
     assert "probability" in result.stderr
+
+
+def test_table_process_does_not_import_numpy():
+    """Only ``simulate`` (and ``verify``, through it) needs numpy."""
+    result = run_python("-c", """\
+import contextlib, io, sys
+import knoedel.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = knoedel.cli.main(["table", "--model", "double-large", "--steps", "3"])
+assert code == 0, code
+assert "numpy" not in sys.modules, "numpy was imported"
+""")
+    assert result.returncode == 0, result.stderr
 
 
 def test_module_invocation():

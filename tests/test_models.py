@@ -10,6 +10,7 @@ from knoedel.models import (
     BETA,
     WalkModel,
     brute_force_distribution,
+    denominator_power,
     dp_distribution,
     dp_table,
     format_state,
@@ -203,6 +204,19 @@ def test_support_obeys_residue_class_and_frontier():
                 assert residue_class(model, state) == row.step % 3
             numbered = [state for state in row.support() if isinstance(state, int)]
             assert max(numbered) == frontier(model, row.step)
+
+
+@pytest.mark.parametrize("p", [None, Fraction(1, 2), Fraction(2, 7)])
+@pytest.mark.parametrize("kind", ["double_large", "double_small"])
+def test_largest_denominator_is_a_power_of_p_denominator(kind, p):
+    """b**denominator_power is the largest reduced denominator at every
+    step, and the frontier state carries p**denominator_power."""
+    model = getattr(WalkModel, kind)(p)
+    for row in dp_table(model, 40):
+        power = denominator_power(model, row.step)
+        largest = max(mass.denominator for mass in row.probabilities.values())
+        assert largest == model.p.denominator**power, row.step
+        assert row.prob(frontier(model, row.step)) == model.p**power, row.step
 
 
 def test_state_parsing_and_formatting():
