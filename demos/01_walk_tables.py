@@ -12,7 +12,6 @@ from knoedel import (
     WalkModel,
     brute_force_distribution,
     dp_table,
-    format_state,
     residue_class,
 )
 
@@ -22,9 +21,7 @@ STEPS = 9
 def show_table(model):
     print(f"\n=== {model.name} walk, p = {model.p} ===")
     for row in dp_table(model, STEPS):
-        cells = "  ".join(
-            f"{format_state(s)}:{row.prob(s)}" for s in row.support()
-        )
+        cells = "  ".join(f"{s}:{row.prob(s)}" for s in row.support())
         print(f"  n={row.step:2d} (residue {row.step % 3})   {cells}")
         assert row.total() == 1, "mass must always sum to one"
 

@@ -2,7 +2,7 @@
 
 The kernel substitution x = (27/4) t (1-t)^2 turns step generating
 functions into rational functions of t.  This script inverts the
-substitution with exact Lagrange reversion, expands 1/(1-t) and the
+substitution by exact reversion (Newton's method), expands 1/(1-t) and the
 bad-factor root 2/(3(1-t)) in x, and shows why keeping the two apart
 matters: they differ by a constant factor 2/3 that would silently scale
 every probability.

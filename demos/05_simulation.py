@@ -13,7 +13,6 @@ from knoedel import (
     WalkModel,
     dp_distribution,
     four_sigma_report,
-    format_state,
     simulate,
 )
 
@@ -29,7 +28,7 @@ def run(model):
           f"{'deviation':>12} {'4-sigma':>10}")
     for cell in four_sigma_report(empirical, exact):
         print(
-            f"{format_state(cell.state):>6} {cell.count:>8} "
+            f"{cell.state!s:>6} {cell.count:>8} "
             f"{float(cell.frequency):>12.6f} {float(cell.expected):>12.6f} "
             f"{float(cell.deviation):>12.6f} {cell.bound:>10.6f}"
             + ("" if cell.within else "  OUTSIDE")

@@ -37,7 +37,6 @@ from .models import (
     brute_force_distribution,
     dp_distribution,
     dp_table,
-    format_state,
     residue_class,
 )
 from .montecarlo import (
@@ -66,7 +65,6 @@ __all__ = [
     "f_state_coeff",
     "f_u_coeff",
     "fbeta_coeff",
-    "format_state",
     "four_sigma_report",
     "g0_coeff",
     "g0_series",

@@ -22,7 +22,8 @@ step cap on ``table --steps``, ``simulate --steps`` and ``verify
 than Python's integer-to-string limit is a usage error too.  ``table``
 and ``simulate`` decide that before any DP or simulation runs, from
 p's denominator: the largest denominator at step n is a known power of
-it (``models.denominator_power``).
+it (``models.denominator_power``).  ``--digits`` above the same limit
+is a usage error, and so is a ``--p`` whose exponent reaches it.
 ``python -m knoedel`` runs the same ``main``.
 """
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -42,7 +44,6 @@ from .models import (
     denominator_power,
     dp_distribution,
     dp_table,
-    format_state,
     parse_state,
     residue_class,
 )
@@ -106,13 +107,30 @@ def _check_steps(steps: int, name: str) -> None:
         raise UsageError(f"{name} must be non-negative")
 
 
+# The exponent of a decimal literal as ``Fraction`` reads it.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _parse_probability(text: str) -> Fraction:
+    """``Fraction(text)``, but an exponent whose power of 10 is past
+    Python's integer-to-string limit is refused before ``Fraction`` builds
+    that power (10**100000000 does not finish in 100 s), as the same
+    number written out in digits is refused by ``int``."""
+    limit = sys.get_int_max_str_digits()
+    match = _EXPONENT.search(text)
+    try:
+        if limit and match and abs(int(match.group(1))) >= limit:
+            raise UsageError(
+                f"the exponent of --p must be below {limit} in magnitude: 10**{limit} "
+                "is past Python's limit for integer-to-string conversion"
+            )
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"invalid probability {text!r}")
+
+
 def _model_from(args: argparse.Namespace) -> WalkModel:
-    p = None
-    if getattr(args, "p", None) is not None:
-        try:
-            p = Fraction(args.p)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"invalid probability {args.p!r}")
+    p = None if args.p is None else _parse_probability(args.p)
     try:
         if args.model == "double-large":
             return WalkModel.double_large(p)
@@ -207,7 +225,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         for state in dist.support():
             mass = masses[state]
             rows.append((
-                name, dist.step, format_state(state), mass.numerator, mass.denominator,
+                name, dist.step, str(state), mass.numerator, mass.denominator,
                 decimal_string(mass, digits),
             ))
     _emit(rows, args.format, TABLE_HEADER)
@@ -232,7 +250,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
     _check_printable(value, args.steps, _printable_bound())
     note = "" if residue_class(model, state) == args.steps % 3 else "off-residue"
     row = (
-        model.name, args.steps, format_state(state), args.source, value.numerator,
+        model.name, args.steps, str(state), args.source, value.numerator,
         value.denominator, decimal_string(value, args.digits), note,
     )
     _emit([row], args.format, COEFF_HEADER)
@@ -284,7 +302,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     digits = args.digits
     rows = [
         (
-            model.name, args.steps, args.trials, args.seed, format_state(cell.state),
+            model.name, args.steps, args.trials, args.seed, str(cell.state),
             cell.count, decimal_string(cell.frequency, digits), cell.expected.numerator,
             cell.expected.denominator, decimal_string(cell.expected, digits),
             decimal_string(cell.deviation, digits), repr(cell.bound), cell.within,
@@ -370,8 +388,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "digits" in args and args.digits < 1:
-            raise UsageError("digits must be at least 1")
+        if "digits" in args:
+            # The num and den columns obey the same limit.
+            limit = sys.get_int_max_str_digits()
+            if args.digits < 1:
+                raise UsageError("digits must be at least 1")
+            if limit and args.digits > limit:
+                raise UsageError(
+                    f"digits must be at most {limit}, "
+                    "Python's limit for integer-to-string conversion"
+                )
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

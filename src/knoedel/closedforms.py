@@ -395,7 +395,9 @@ def _vpoly_mul(a: list[Polynomial], b: list[Polynomial]) -> list[Polynomial]:
 def kernel_identity_results() -> list[IdentityCheck]:
     """Check the three kernel identities in exact arithmetic.
 
-    1. The bad-factor root satisfies x U1^3 - 3 U1 + 2 = 0.
+    1. The bad-factor root satisfies x U1^3 - 3 U1 + 2 = 0.  With
+       U1 = num/den the denominator is cleared:
+       x num^3 - 3 num den^2 + 2 den^3 = 0 as a polynomial in t.
     2. The kernel cubic factors: 2V^3 - 3V^2 + x =
        2 (V - (3/2)(1-t)) (V^2 - eV + f).
     3. The explicit roots (3/4)t -+ (3/4) sqrt(4t - 3t^2) have elementary
@@ -404,13 +406,13 @@ def kernel_identity_results() -> list[IdentityCheck]:
     results = []
 
     u1 = bad_factor_root_rational()
-    x_rf = RationalFunction(x_of_t())
-    residue = x_rf * u1**3 - 3 * u1 + 2
+    num, den = u1.num, u1.den
+    residue = x_of_t() * num**3 - 3 * num * den**2 + 2 * den**3
     results.append(
         IdentityCheck(
             name="bad-factor-root-kills-kernel",
             holds=residue.is_zero(),
-            detail="x U1^3 - 3 U1 + 2 reduces to the zero rational function",
+            detail="x U1^3 - 3 U1 + 2 = 0, cleared of U1's denominator",
         )
     )
 

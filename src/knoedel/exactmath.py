@@ -8,12 +8,13 @@ are exact.  The three building blocks are
   (compositional inverse),
 * ``Polynomial``: a dense polynomial with exact coefficients,
 * ``RationalFunction``: a quotient of two polynomials, comparable by
-  cross multiplication and expandable into a ``TruncatedSeries``.
+  cross multiplication and expandable into a ``TruncatedSeries``; it has
+  no arithmetic of its own.
 
-The three share one ring skeleton, ``_Ring``: subtraction and
-non-negative powers are written once there, from each class's ``_lift``,
-``+``, unary ``-`` and ``*``.  Substitution has one Horner loop,
-``Polynomial.__call__``, which ``TruncatedSeries.compose`` and
+Series and polynomials share one ring skeleton, ``_Ring``: subtraction
+and non-negative powers are written once there, from each class's
+``_lift``, ``+``, unary ``-`` and ``*``.  Substitution has one Horner
+loop, ``Polynomial.__call__``, which ``TruncatedSeries.compose`` and
 ``RationalFunction.expand`` both go through.
 
 Products run on integers: ``_convolve`` drops each operand's trailing
@@ -174,11 +175,6 @@ class TruncatedSeries(_Ring):
             raise IndexError(f"coefficient {k} outside truncation order {len(self._coeffs)}")
         return self._coeffs[k]
 
-    def truncate(self, order: int) -> TruncatedSeries:
-        if not 1 <= order <= len(self._coeffs):
-            raise ValueError("can only truncate to a smaller positive order")
-        return TruncatedSeries(self._coeffs[:order])
-
     def _lift(self, other: object) -> TruncatedSeries | None:
         if isinstance(other, TruncatedSeries):
             return other
@@ -228,7 +224,7 @@ class TruncatedSeries(_Ring):
         if inner._coeffs[0] != 0:
             raise ValueError("inner series must have zero constant term")
         n = min(len(self._coeffs), len(inner._coeffs))
-        return Polynomial(self._coeffs[:n])(inner.truncate(n))
+        return Polynomial(self._coeffs[:n])(TruncatedSeries(inner._coeffs[:n]))
 
     def reversion(self) -> TruncatedSeries:
         """Compositional inverse r with A(r) = t, where A is this series.
@@ -347,54 +343,21 @@ class Polynomial(_Ring):
         return f"Polynomial({list(self._coeffs)!r})"
 
 
-class RationalFunction(_Ring):
+class RationalFunction:
     """Quotient of two polynomials.  Equality is by cross multiplication."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial | Scalar, den: Polynomial | Scalar = 1):
-        self.num = num if isinstance(num, Polynomial) else Polynomial([num])
-        self.den = den if isinstance(den, Polynomial) else Polynomial([den])
-        if self.den.is_zero():
+    def __init__(self, num: Polynomial, den: Polynomial):
+        if den.is_zero():
             raise ValueError("zero denominator")
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _lift(self, other: object) -> RationalFunction | None:
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return RationalFunction(other)
-        return None
-
-    def __add__(self, other: object) -> RationalFunction:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return RationalFunction(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self.num, self.den)
-
-    def __mul__(self, other: object) -> RationalFunction:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return RationalFunction(self.num * rhs.num, self.den * rhs.den)
-
-    __rmul__ = __mul__
+        self.num = num
+        self.den = den
 
     def __eq__(self, other: object) -> bool:
-        rhs = self._lift(other)
-        if rhs is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num * rhs.den == rhs.num * self.den
-
-    def __hash__(self) -> int:
-        raise TypeError("RationalFunction is unhashable; compare with ==")
+        return self.num * other.den == other.num * self.den
 
     def expand(self, series: TruncatedSeries) -> TruncatedSeries:
         """Expand num/den around the substituted series argument."""

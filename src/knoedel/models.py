@@ -72,10 +72,6 @@ def parse_state(text: str) -> State:
     return value
 
 
-def format_state(state: State) -> str:
-    return "beta" if isinstance(state, _BetaState) else str(state)
-
-
 class ModelKind(Enum):
     DOUBLE_LARGE = "double-large"
     DOUBLE_SMALL = "double-small"

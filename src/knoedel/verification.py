@@ -51,6 +51,11 @@ class SuiteResult:
         return not self.failures
 
 
+GIRARD_WARING_MAX_POWER = 40
+MAX_COLUMN = 12
+SIMULATION_STEPS = 6
+
+
 def _both_models() -> list[WalkModel]:
     return [WalkModel.double_large(), WalkModel.double_small()]
 
@@ -182,8 +187,9 @@ def kernel_identity_suite() -> SuiteResult:
     return suite
 
 
-def girard_waring_suite(max_power: int = 40) -> SuiteResult:
-    """Closed symmetric-function sums against their linear recurrences.
+def girard_waring_suite() -> SuiteResult:
+    """Closed symmetric-function sums against their linear recurrences,
+    for powers up to ``GIRARD_WARING_MAX_POWER``.
 
     Both sequences satisfy a_m = e a_(m-1) - f a_(m-2); the power sums
     start 2, e and the difference quotients start 0, 1.
@@ -193,10 +199,10 @@ def girard_waring_suite(max_power: int = 40) -> SuiteResult:
     e, f = pair.sum_of_roots, pair.product_of_roots
     power_sums = [Polynomial([2]), e]
     quotients = [Polynomial(), Polynomial([1])]
-    for m in range(2, max_power + 1):
+    for m in range(2, GIRARD_WARING_MAX_POWER + 1):
         power_sums.append(e * power_sums[-1] - f * power_sums[-2])
         quotients.append(e * quotients[-1] - f * quotients[-2])
-    for m in range(max_power + 1):
+    for m in range(GIRARD_WARING_MAX_POWER + 1):
         suite.check(
             closedforms.girard_waring_power_sum(m) == power_sums[m],
             f"power sum {m} differs from recurrence",
@@ -208,11 +214,12 @@ def girard_waring_suite(max_power: int = 40) -> SuiteResult:
     return suite
 
 
-def column_consistency_suite(max_column: int = 12, max_blocks: int = 8) -> SuiteResult:
-    """Per-column rational functions reproduce the coefficient formulas."""
+def column_consistency_suite(max_blocks: int) -> SuiteResult:
+    """Per-column rational functions, columns up to ``MAX_COLUMN``,
+    reproduce the coefficient formulas."""
     suite = SuiteResult("column-consistency")
     t = closedforms.t_series(max_blocks + 1)
-    for m in range(max_column + 1):
+    for m in range(MAX_COLUMN + 1):
         expansion = closedforms.f_u_coeff(m).expand(t)
         for n_blocks in range(max_blocks + 1):
             n = 3 * n_blocks - m
@@ -221,7 +228,7 @@ def column_consistency_suite(max_column: int = 12, max_blocks: int = 8) -> Suite
                 expansion.coeff(n_blocks) == want,
                 f"double-large column {m} block {n_blocks}: expansion != coefficient",
             )
-    for j in range(max_column + 1):
+    for j in range(MAX_COLUMN + 1):
         expansion = closedforms.g_u_coeff(j).expand(t)
         for n_blocks in range(max_blocks + 1):
             want = closedforms.g_state_coeff(3 * n_blocks + j, j)
@@ -243,29 +250,24 @@ def column_consistency_suite(max_column: int = 12, max_blocks: int = 8) -> Suite
     return suite
 
 
-def simulation_suite(
-    trials: int = 20000, steps: int = 6, seed: int = montecarlo.DEFAULT_SEED
-) -> SuiteResult:
-    """Quick seeded simulation against exact probabilities, 4-sigma cells."""
+def simulation_suite(trials: int, seed: int) -> SuiteResult:
+    """Quick seeded simulation of ``SIMULATION_STEPS`` steps against exact
+    probabilities, 4-sigma cells."""
     suite = SuiteResult("simulation-four-sigma")
     for model in _both_models():
-        exact = dp_distribution(model, steps)
-        empirical = montecarlo.simulate(montecarlo.SimConfig(model, steps, trials, seed))
+        exact = dp_distribution(model, SIMULATION_STEPS)
+        config = montecarlo.SimConfig(model, SIMULATION_STEPS, trials, seed)
+        empirical = montecarlo.simulate(config)
         for cell in montecarlo.four_sigma_report(empirical, exact):
             suite.check(
                 cell.within,
-                f"{model.name} step {steps} state {cell.state}: "
+                f"{model.name} step {SIMULATION_STEPS} state {cell.state}: "
                 f"deviation {float(cell.deviation):.2e} exceeds 4-sigma {cell.bound:.2e}",
             )
     return suite
 
 
-def run_verification(
-    order: int = 30,
-    max_steps: int = 30,
-    trials: int = 20000,
-    seed: int = montecarlo.DEFAULT_SEED,
-) -> list[SuiteResult]:
+def run_verification(order: int, max_steps: int, trials: int, seed: int) -> list[SuiteResult]:
     """Run every suite with shared size limits."""
     return [
         normalization_and_support_suite(max_steps),
@@ -275,6 +277,6 @@ def run_verification(
         series_suite(order),
         kernel_identity_suite(),
         girard_waring_suite(),
-        column_consistency_suite(max_blocks=min(8, max(order - 1, 1))),
-        simulation_suite(trials=trials, seed=seed),
+        column_consistency_suite(min(8, max(order - 1, 1))),
+        simulation_suite(trials, seed),
     ]

@@ -86,7 +86,7 @@ def test_criterion_06_kernel_identities():
 
 def test_criterion_07_girard_waring():
     _run_suite(7, "girard-waring", "closed sums equal the linear recurrences for m <= 40",
-               girard_waring_suite, 40)
+               girard_waring_suite)
 
 
 def test_criterion_08_normalization_and_residues():
@@ -122,4 +122,4 @@ def test_criterion_09_monte_carlo():
 def test_criterion_10_column_consistency():
     _run_suite(10, "column-consistency",
                "column rational functions reproduce the coefficient formulas "
-               "for columns <= 12, blocks <= 8", column_consistency_suite, 12, 8)
+               "for columns <= 12, blocks <= 8", column_consistency_suite, 8)

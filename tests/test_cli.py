@@ -1,10 +1,12 @@
 """Tests for the command line interface, including exit codes."""
 
+import ast
 import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 import knoedel
 from knoedel import closedforms
 from knoedel.cli import _emit, decimal_string, main
-from knoedel.models import WalkModel, dp_table, format_state
+from knoedel.models import WalkModel, dp_table
 
 REPO = Path(__file__).resolve().parent.parent
 PYPROJECT = REPO / "pyproject.toml"
@@ -43,6 +45,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def int_str_limit(digits):
+    """Python's integer-to-string limit set to ``digits`` inside the block."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def localcontext_decimal(value, digits):
@@ -119,7 +132,7 @@ def old_table_output(model, steps, digits, fmt):
         {
             "model": model.name,
             "step": dist.step,
-            "state": format_state(state),
+            "state": str(state),
             "num": dist.prob(state).numerator,
             "den": dist.prob(state).denominator,
             "decimal": localcontext_decimal(dist.prob(state), digits),
@@ -275,16 +288,12 @@ UNPRINTABLE = [
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_coeff_past_the_int_string_limit_is_usage_error(capsys, fmt):
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
     runs = []
-    try:
+    with int_str_limit(4300):
         for command, _ in UNPRINTABLE:
             start = time.perf_counter()
             runs.append(run_cli(capsys, *command, "--format", fmt))
             runs[-1] += (time.perf_counter() - start,)
-    finally:
-        sys.set_int_max_str_digits(previous)
     for (command, step), (code, out, err, elapsed) in zip(UNPRINTABLE, runs):
         assert code == 2, command[0]
         assert out == ""
@@ -307,18 +316,47 @@ def test_table_refuses_the_step_a_row_scan_would(capsys, model, p):
         Fraction(p)
     )
     steps = 40
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
+    with int_str_limit(640):
         code, out, err = run_cli(capsys, "table", "--model", model, "--steps", str(steps), "--p", p)
-    finally:
-        sys.set_int_max_str_digits(previous)
     scan = next(
         dist.step for dist in dp_table(walk, steps)
         if any(mass.denominator >= 10**640 for mass in dist.probabilities.values())
     )
     assert code == 2 and out == ""
     assert err.startswith(f"error: the exact value at {scan} steps ")
+
+
+@pytest.mark.parametrize("n, want", [(639, 0), (640, 2)])
+def test_p_exponent_meets_the_limit_of_the_written_out_number(capsys, n, want):
+    """At the int-to-string limit of 640 digits, ``--p 1e-N`` gets the exit
+    code of ``--p 1/10^N`` written out in digits, which ``int`` refuses
+    from N = 640 on."""
+    spellings = [f"1e-{n}", "1/1" + "0" * n]
+    with int_str_limit(640):
+        runs = [
+            run_cli(capsys, "table", "--model", "double-small", "--steps", "1", "--p", p)
+            for p in spellings
+        ]
+    for p, (code, out, err) in zip(spellings, runs):
+        assert code == want, p[:10]
+        if want:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_p_with_a_huge_exponent_exits_at_once():
+    """``Fraction("1e-100000000")`` would build 10**100000000 first."""
+    result = run_python("-c", """\
+import sys, time
+from knoedel.cli import main
+sys.set_int_max_str_digits(4300)
+start = time.perf_counter()
+code = main(["table", "--model", "double-small", "--steps", "1", "--p", "1e-100000000"])
+print(code, time.perf_counter() - start)
+""", timeout=20)
+    code, elapsed = result.stdout.split()
+    assert code == "2", result.stderr
+    assert float(elapsed) < 1
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 def test_series_tokens(capsys):
@@ -355,6 +393,23 @@ def test_digits_flag(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "digits" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("digits", [640, 641])
+def test_digits_up_to_the_int_string_limit(capsys, digits):
+    """``--digits`` obeys the limit the num and den columns obey."""
+    argv = ["coeff", "--model", "double-large", "--state", "2", "--steps", "1"]
+    with int_str_limit(640):
+        code, out, err = run_cli(capsys, *argv, "--digits", str(digits))
+    if digits == 640:
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == "double-large,1,2,dp,1,3,0." + "3" * 640 + ","
+    else:
+        assert code == 2 and out == ""
+        assert err == (
+            "error: digits must be at most 640, "
+            "Python's limit for integer-to-string conversion\n"
+        )
 
 
 def test_simulate_output_and_determinism(capsys):
@@ -449,7 +504,7 @@ def console_scripts():
         return tomllib.load(fh)["project"]["scripts"]
 
 
-def run_python(*args):
+def run_python(*args, timeout=60):
     """Run a child interpreter that imports the same ``knoedel`` as this test."""
     package_root = str(Path(knoedel.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -461,7 +516,7 @@ def run_python(*args):
         capture_output=True,
         text=True,
         env=env,
-        timeout=60,
+        timeout=timeout,
     )
 
 
@@ -524,3 +579,15 @@ def test_demo_runs_clean(demo):
     result = run_python(str(demo))
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+
+
+def test_every_exported_name_has_a_user():
+    """Each name in ``knoedel.__all__`` is imported by a demo or named in
+    the README, so the top level exports nothing unused."""
+    imported = set()
+    for demo in DEMOS.glob("*.py"):
+        for node in ast.walk(ast.parse(demo.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "knoedel":
+                imported.update(alias.name for alias in node.names)
+    named = set(re.findall(r"\w+", README.read_text()))
+    assert [name for name in knoedel.__all__ if name not in imported | named] == []

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knoedel import closedforms as cf
-from knoedel.exactmath import Polynomial, binom_general
+from knoedel.exactmath import Polynomial, RationalFunction, binom_general
 from knoedel.models import WalkModel, frontier
 
 LARGE, SMALL = WalkModel.double_large(), WalkModel.double_small()
@@ -290,3 +290,17 @@ def test_kernel_identities_all_hold():
         "explicit-roots-match-symmetric-pair",
     ]
     assert all(item.holds for item in results)
+
+
+@pytest.mark.parametrize("num, den", [
+    ([2], [3, 3]),    # 2 / (3 (1 + t))
+    ([2], [3]),       # 2 / 3
+    ([1], [3, -3]),   # 1 / (3 (1 - t))
+])
+def test_kernel_identity_fails_for_a_wrong_bad_factor_root(monkeypatch, num, den):
+    """Negative control: only the true U1 = 2 / (3 (1 - t)) kills the kernel."""
+    wrong = RationalFunction(Polynomial(num), Polynomial(den))
+    monkeypatch.setattr(cf, "bad_factor_root_rational", lambda: wrong)
+    first, *rest = cf.kernel_identity_results()
+    assert first.name == "bad-factor-root-kills-kernel" and not first.holds
+    assert all(item.holds for item in rest)

@@ -305,26 +305,18 @@ def test_rational_function_equality_by_cross_multiplication():
     b = RationalFunction(1 + x, Polynomial([1]))
     assert a == b
     assert a != RationalFunction(1 + x, 1 - x)
+    assert a != 1 + x
 
 
-def test_rational_function_arithmetic_and_expansion():
+def test_rational_function_expansion():
     x = Polynomial.x()
-    geom = RationalFunction(Polynomial([1]), 1 - x)
     t = TruncatedSeries.identity(6)
-    assert geom.expand(t) == TruncatedSeries([1] * 6)
-    combined = geom - RationalFunction(Polynomial([1]))
-    assert combined == RationalFunction(x, 1 - x)
-    assert (geom * geom).expand(t).coeffs == (1, 2, 3, 4, 5, 6)
-    f = RationalFunction(1 + x, 1 - x)
-    assert f**2 == f * f
-    assert ((f**2).num, (f**2).den) == (Polynomial([1, 2, 1]), Polynomial([1, -2, 1]))
-    assert ((f**0).num, (f**0).den) == (Polynomial([1]), Polynomial([1]))
-    with pytest.raises(ValueError):
-        f ** (-1)
+    assert RationalFunction(Polynomial([1]), 1 - x).expand(t) == TruncatedSeries([1] * 6)
+    square = RationalFunction(Polynomial([1]), (1 - x) ** 2)
+    assert square.expand(t).coeffs == (1, 2, 3, 4, 5, 6)
+    assert RationalFunction(x, 1 - x).expand(t).coeffs == (0, 1, 1, 1, 1, 1)
 
 
 def test_rational_function_rejects_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         RationalFunction(Polynomial([1]), Polynomial())
-    with pytest.raises(TypeError, match="float"):
-        RationalFunction(Polynomial([1]), 0.5)

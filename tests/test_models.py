@@ -13,7 +13,6 @@ from knoedel.models import (
     denominator_power,
     dp_distribution,
     dp_table,
-    format_state,
     frontier,
     parse_state,
     residue_class,
@@ -223,8 +222,8 @@ def test_state_parsing_and_formatting():
     assert parse_state("beta") is BETA
     assert parse_state(" Beta ") is BETA
     assert parse_state("7") == 7
-    assert format_state(BETA) == "beta"
-    assert format_state(12) == "12"
+    assert str(BETA) == "beta"
+    assert str(12) == "12"
     with pytest.raises(ValueError):
         parse_state("-3")
     with pytest.raises(ValueError):
