@@ -11,19 +11,26 @@ Each printing command builds its rows as tuples under a fixed header
 and hands them to ``_emit``.  CSV goes through ``csv.writer``; JSON goes
 through a small writer that gives the bytes of ``json.dumps`` with
 ``indent=2`` for the same rows as dicts, without CPython's pure-Python
-indenting encoder.  ``decimal_string`` does all rounding, through one
-cached decimal context per digit count.
+indenting encoder: int columns go into its row template through ``%d``.
+Rounding divides through one cached decimal context per digit count.
+``table`` reads the DP's integer numerators over b**n for p = a/b
+(``models.dp_numerators``) straight into its rows: one gcd per mass for
+the num and den columns, and one decimal divisor per step.  The other
+commands round a ``Fraction`` through ``decimal_string``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The
 step cap on ``table --steps``, ``simulate --steps`` and ``verify
 --max-steps`` defaults to 200 and can be overridden through the
-``KNOEDEL_MAX_STEPS`` environment variable; ``series --order`` and
+``KNOEDEL_MAX_STEPS`` environment variable; ``coeff --source dp
+--steps`` has a fixed cap of its own, 1000.  ``series --order`` and
 ``verify --order`` are capped at 200.  An exact value with more digits
 than Python's integer-to-string limit is a usage error too.  ``table``
 and ``simulate`` decide that before any DP or simulation runs, from
 p's denominator: the largest denominator at step n is a known power of
 it (``models.denominator_power``).  ``--digits`` above the same limit
-is a usage error, and so is a ``--p`` whose exponent reaches it.
+is a usage error, and so is a ``--p`` whose exponent reaches it.  An
+error line quotes at most the first 40 characters of an argument.
+The argument parser is built once per process.
 ``python -m knoedel`` runs the same ``main``.
 """
 
@@ -31,24 +38,29 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import re
 import sys
 from decimal import Context, Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
+from operator import itemgetter
+from typing import Iterable
 
 from . import closedforms, montecarlo, verification
 from .models import (
     WalkModel,
     denominator_power,
     dp_distribution,
-    dp_table,
+    dp_numerators,
     parse_state,
     residue_class,
 )
 
 DEFAULT_STEP_CAP = 200
+DP_STEP_CAP = 1000
 SERIES_ORDER_CAP = 200
 
 TABLE_HEADER = ("model", "step", "state", "num", "den", "decimal")
@@ -77,12 +89,21 @@ class UsageError(Exception):
 _CONTEXTS: dict[int, Context] = {}
 
 
-def decimal_string(value: Fraction, digits: int) -> str:
-    """Round an exact rational to ``digits`` significant digits."""
+def _context(digits: int) -> Context:
     context = _CONTEXTS.get(digits)
     if context is None:
         context = _CONTEXTS[digits] = Context(prec=digits)
-    return str(context.divide(Decimal(value.numerator), Decimal(value.denominator)))
+    return context
+
+
+def decimal_string(value: Fraction, digits: int) -> str:
+    """Round an exact rational to ``digits`` significant digits."""
+    return str(_context(digits).divide(Decimal(value.numerator), Decimal(value.denominator)))
+
+
+def _quoted(text: str, limit: int = 40) -> str:
+    """``repr(text)``, cut to its first ``limit`` characters and ``...``."""
+    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
 
 
 def _step_cap() -> int:
@@ -92,15 +113,14 @@ def _step_cap() -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise UsageError(f"KNOEDEL_MAX_STEPS must be an integer, got {raw!r}")
+        raise UsageError(f"KNOEDEL_MAX_STEPS must be an integer, got {_quoted(raw)}")
     if cap < 0:
         raise UsageError("KNOEDEL_MAX_STEPS must be non-negative")
     return cap
 
 
-def _check_steps(steps: int, name: str) -> None:
-    """Refuse a step count above ``_step_cap()`` or below 0."""
-    cap = _step_cap()
+def _check_steps(steps: int, name: str, cap: int) -> None:
+    """Refuse a step count above ``cap`` or below 0."""
     if steps > cap:
         raise UsageError(f"{name} {steps} exceeds the safety cap {cap}")
     if steps < 0:
@@ -126,7 +146,7 @@ def _parse_probability(text: str) -> Fraction:
             )
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"invalid probability {text!r}")
+        raise UsageError(f"invalid probability {_quoted(text)}")
 
 
 def _model_from(args: argparse.Namespace) -> WalkModel:
@@ -186,21 +206,31 @@ _JSON_VALUE = {
 }
 
 
+def _json_column(rows: list[tuple], i: int) -> tuple[str, Iterable]:
+    """Template slot and values of column ``i``: an int-only column goes
+    in through ``%d``, which gives the bytes of ``int.__repr__``, and any
+    other column through ``_JSON_VALUE``."""
+    column = map(itemgetter(i), rows)
+    if set(map(type, map(itemgetter(i), rows))) == {int}:
+        return "%d", column
+    return "%s", (_JSON_VALUE[value.__class__](value) for value in column)
+
+
 def _write_json(rows: list[tuple], header: tuple[str, ...]) -> None:
     """Write ``json.dumps([dict(zip(header, row)) for row in rows],
     indent=2)`` and a newline, for at least one row and one column of
     str, int and bool values."""
-    keys = [
-        ("," if i else "") + "\n    " + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
-        for i, key in enumerate(header)
-    ]
-    template = "{" + "".join(keys) + "\n  }"
-    write = sys.stdout.write
-    lead = "[\n  "
-    for row in rows:
-        write(lead + template % tuple([_JSON_VALUE[value.__class__](value) for value in row]))
-        lead = ",\n  "
-    write("\n]\n")
+    slots, columns = zip(*[_json_column(rows, i) for i in range(len(header))])
+    template = "{" + "".join(
+        ("," if i else "") + "\n    " + encode_basestring_ascii(key).replace("%", "%%")
+        + ": " + slot
+        for i, (key, slot) in enumerate(zip(header, slots))
+    ) + "\n  }"
+    values = zip(*columns)
+    out = sys.stdout
+    out.write("[\n  " + template % next(values))
+    out.writelines(map((",\n  " + template).__mod__, values))
+    out.write("\n]\n")
 
 
 def _emit(rows: list[tuple], fmt: str, header: tuple[str, ...]) -> None:
@@ -213,33 +243,37 @@ def _emit(rows: list[tuple], fmt: str, header: tuple[str, ...]) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    _check_steps(args.steps, "steps")
+    _check_steps(args.steps, "steps", _step_cap())
     model = _model_from(args)
     first = _first_unprintable_step(model, args.steps)
     if first is not None:
         raise _unprintable(first)
-    name, digits = model.name, args.digits
+    name = model.name
+    divide = _context(args.digits).divide
     rows = []
-    for dist in dp_table(model, args.steps):
-        masses = dist.probabilities
-        for state in dist.support():
-            mass = masses[state]
-            rows.append((
-                name, dist.step, str(state), mass.numerator, mass.denominator,
-                decimal_string(mass, digits),
-            ))
+    # Each step-n mass is m / b**n: one gcd reduces it for the num and
+    # den columns, and m divided by b**n rounds to the same decimal as the
+    # reduced quotient, since both operands have exponent 0.
+    for n, den, row in dp_numerators(model, 0, args.steps):
+        divisor = Decimal(den)
+        rows += [
+            (name, n, str(state), m // (g := gcd(m, den)), den // g, str(divide(m, divisor)))
+            for state, m in row
+        ]
     _emit(rows, args.format, TABLE_HEADER)
     return 0
 
 
 def cmd_coeff(args: argparse.Namespace) -> int:
-    if args.steps < 0:
+    if args.source == "dp":
+        _check_steps(args.steps, "steps", DP_STEP_CAP)
+    elif args.steps < 0:
         raise UsageError("steps must be non-negative")
     model = _model_from(args)
     try:
         state = parse_state(args.state)
     except ValueError:
-        raise UsageError(f"invalid state {args.state!r}")
+        raise UsageError(f"invalid state {_quoted(args.state)}")
     if args.source == "dp":
         value = dp_distribution(model, args.steps).prob(state)
     else:
@@ -260,7 +294,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if not 2 <= args.order <= SERIES_ORDER_CAP:
         raise UsageError(f"order must be between 2 and {SERIES_ORDER_CAP}")
-    _check_steps(args.max_steps, "max-steps")
+    _check_steps(args.max_steps, "max-steps", _step_cap())
     if args.trials < 1:
         raise UsageError("trials must be positive")
     results = verification.run_verification(
@@ -292,7 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise UsageError("trials must be positive")
-    _check_steps(args.steps, "steps")
+    _check_steps(args.steps, "steps", _step_cap())
     model = _model_from(args)
     if _first_unprintable_step(model, args.steps) is not None:
         raise _unprintable(args.steps)
@@ -384,9 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ``main`` parses with one parser per process; building it costs more
+# than a short closed-form ``coeff``.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if "digits" in args:
             # The num and den columns obey the same limit.

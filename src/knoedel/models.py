@@ -23,12 +23,13 @@ count by +2/-1 (or +1/-2), the support of the step-n distribution lives
 in a single residue class mod 3; ``residue_class`` returns it.
 
 The moves are written once, in ``step``; the forward dynamic program
-(``dp_table``) runs on successor tables read off it.  For p = a/b it
+(``dp_numerators``) runs on successor tables read off it.  For p = a/b it
 carries integer numerators over b^n, the red edge weighing a and the
-black edge b - a; ``dp_distribution`` runs the same loop and forms only
-its last row.  A brute-force sum over all coin sequences
-(``brute_force_distribution``), walked depth first through ``step`` with
-integer path counts, is the oracle it is checked against.
+black edge b - a, and yields each step's nonzero numerators in support
+order.  ``dp_table`` and ``dp_distribution`` form ``Fraction``s from it;
+``dp_distribution`` forms only the last row.  A brute-force sum over all
+coin sequences (``brute_force_distribution``), walked depth first through
+``step`` with integer path counts, is the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from itertools import compress
+from typing import Iterator, Union
 
 
 class _BetaState:
@@ -173,34 +175,47 @@ def successor_slots(
     )
 
 
-def _dp_rows(model: WalkModel, first: int, last: int) -> list[StepDistribution]:
-    """Step distributions first..last by forward dynamic programming.
+def dp_numerators(
+    model: WalkModel, first: int, last: int
+) -> Iterator[tuple[int, int, list[tuple[State, int]]]]:
+    """Yield (n, b**n, row) for steps first..last, for p = a/b.
 
-    Only the current step's numerators are held, so rows before ``first``
-    cost neither memory nor ``Fraction``s.
+    ``row`` holds (state, m) for each state whose mass m / b**n at step n
+    is nonzero, in support order: numbered states ascending, then BETA.
+    Only the current step's numerators are held, and step n walks only the
+    slots reachable at step n - 1.
     """
     if last < 0:
         raise ValueError("step count must be non-negative")
     states, red, black = successor_slots(model, last)
+    numbered = states[1:]
     red_weight = model.p.numerator
     black_weight = model.p.denominator - red_weight
-    masses = [0] * len(states)
-    masses[states.index(0)] = 1
-    rows = []
+    masses = [0, 1]  # BETA, then state 0: the walk starts at 0
+    den = 1
     for n in range(last + 1):
         if n:
-            nxt = [0] * len(states)
-            for slot, mass in enumerate(masses):
-                if mass:
-                    nxt[red[slot]] += red_weight * mass
-                    nxt[black[slot]] += black_weight * mass
+            den *= model.p.denominator
+            nxt = [0] * (frontier(model, n) + 2)
+            for mass, up, down in compress(zip(masses, red, black), masses):
+                nxt[up] += red_weight * mass
+                nxt[down] += black_weight * mass
             masses = nxt
         if n >= first:
-            den = model.p.denominator**n
-            rows.append(StepDistribution(
-                n, {states[slot]: Fraction(m, den) for slot, m in enumerate(masses) if m}
-            ))
-    return rows
+            tail = masses[1:]
+            row = list(compress(zip(numbered, tail), tail))
+            if masses[0]:
+                row.append((BETA, masses[0]))
+            yield n, den, row
+
+
+def _dp_rows(model: WalkModel, first: int, last: int) -> list[StepDistribution]:
+    """Step distributions first..last, the fractions formed from
+    ``dp_numerators``."""
+    return [
+        StepDistribution(n, {state: Fraction(m, den) for state, m in row})
+        for n, den, row in dp_numerators(model, first, last)
+    ]
 
 
 def dp_table(model: WalkModel, max_steps: int) -> list[StepDistribution]:

@@ -15,13 +15,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import knoedel
-from knoedel import closedforms
+from knoedel import cli, closedforms
 from knoedel.cli import _emit, decimal_string, main
-from knoedel.models import WalkModel, dp_table
+from knoedel.models import WalkModel, dp_numerators, dp_table, state_sort_key
 
 REPO = Path(__file__).resolve().parent.parent
 PYPROJECT = REPO / "pyproject.toml"
@@ -159,6 +159,38 @@ def test_table_output_matches_dict_rows(capsys, model, p, digits, fmt):
     assert out == old_table_output(walk, 40, digits, fmt)
 
 
+@st.composite
+def walks(draw):
+    """Either walk with p = a/b for some b <= 12."""
+    b = draw(st.integers(min_value=2, max_value=12))
+    p = Fraction(draw(st.integers(min_value=1, max_value=b - 1)), b)
+    kind = draw(st.sampled_from([WalkModel.double_large, WalkModel.double_small]))
+    return kind(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    walks(),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=1, max_value=50),
+    st.sampled_from(["csv", "json"]),
+)
+@example(WalkModel.double_small(Fraction(1, 2)), 0, 1, "json")
+@example(WalkModel.double_large(Fraction(11, 12)), 60, 50, "csv")
+def test_table_matches_the_fraction_route(walk, steps, digits, fmt):
+    """``table`` prints the bytes of the route through ``dp_table``,
+    ``support()`` and one rounded ``Fraction`` per mass."""
+    argv = ["table", "--model", walk.name, "--steps", str(steps), "--digits", str(digits),
+            "--format", fmt, "--p", str(walk.p)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == old_table_output(walk, steps, digits, fmt)
+    for _, _, row in dp_numerators(walk, 0, steps):
+        states = [state for state, _ in row]
+        assert states == sorted(states, key=state_sort_key)
+
+
 def test_table_csv_output(capsys):
     code, out, err = run_cli(
         capsys, "table", "--model", "double-large", "--steps", "2"
@@ -211,6 +243,25 @@ def test_table_rejects_bad_cap_value(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "table", "--model", "double-large", "--steps", "1")
     assert code == 2
     assert "KNOEDEL_MAX_STEPS" in err
+
+
+DP_COEFF = ["coeff", "--model", "double-large", "--state", "0", "--source", "dp"]
+
+
+def test_coeff_dp_respects_its_own_step_cap(capsys, monkeypatch):
+    """``coeff --source dp`` is capped at 1000 steps; ``KNOEDEL_MAX_STEPS``
+    does not move that cap, and the closed form has none."""
+    monkeypatch.setenv("KNOEDEL_MAX_STEPS", "2")
+    code, out, err = run_cli(capsys, *DP_COEFF, "--steps", "1001")
+    assert code == 2 and out == ""
+    assert err == "error: steps 1001 exceeds the safety cap 1000\n"
+    code, out, err = run_cli(capsys, *DP_COEFF, "--steps", "1000")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "double-large,1000,0,dp,0,1,0,off-residue"
+    code, out, _ = run_cli(capsys, *DP_COEFF[:-1], "closed-form", "--steps", "1001")
+    assert code == 0 and out.splitlines()[1].startswith("double-large,1001,0,closed-form,")
+    code, _, err = run_cli(capsys, *DP_COEFF, "--steps", "-1")
+    assert code == 2 and err == "error: steps must be non-negative\n"
 
 
 def test_coeff_closed_form_beta(capsys):
@@ -492,6 +543,52 @@ def test_invalid_probability_is_usage_error(capsys):
     )
     assert code == 2
     assert "probability" in err
+
+
+def test_error_lines_quote_a_short_prefix(capsys):
+    """A 5000-character argument is echoed as its first 40 characters."""
+    text = "1/" + "0" * 4998
+    code, out, err = run_cli(capsys, "table", "--model", "double-large", "--steps", "2",
+                             "--p", text)
+    assert code == 2 and out == ""
+    assert err == f"error: invalid probability {text[:40]!r}...\n"
+    code, out, err = run_cli(capsys, "coeff", "--model", "double-large", "--steps", "2",
+                             "--state", "x" * 5000)
+    assert code == 2 and out == ""
+    assert err == f"error: invalid state {'x' * 40!r}...\n"
+
+
+# In-process calls of every kind of outcome: CSV and JSON tables, a DP
+# and a closed-form coefficient, a series, and argparse refusing a walk.
+MAIN_CALLS = [
+    ["table", "--model", "double-large", "--steps", "6"],
+    ["coeff", "--model", "double-small", "--state", "beta", "--steps", "5", "--source", "dp"],
+    ["coeff", "--model", "double-small", "--state", "beta", "--steps", "5",
+     "--source", "closed-form", "--format", "json"],
+    ["series", "--which", "t", "--order", "4"],
+    ["table", "--model", "wrong", "--steps", "2"],
+    ["table", "--model", "double-small", "--steps", "5", "--format", "json"],
+]
+
+
+def test_parser_built_once_answers_like_fresh_ones(capsys):
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    fresh = []
+    for argv in MAIN_CALLS:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._parser.cache_clear()
+    reused = [outcome(argv) for argv in MAIN_CALLS]
+    assert cli._parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0]
+    assert "invalid choice: 'wrong'" in reused[4][2]
 
 
 def console_scripts():
