@@ -23,7 +23,11 @@ step cap on ``table --steps``, ``simulate --steps`` and ``verify
 --max-steps`` defaults to 200 and can be overridden through the
 ``KNOEDEL_MAX_STEPS`` environment variable; ``coeff --source dp
 --steps`` has a fixed cap of its own, 1000.  ``series --order`` and
-``verify --order`` are capped at 200.  An exact value with more digits
+``verify --order`` are capped at 200.  ``simulate --trials`` and
+``verify --trials`` must be positive, and trials times steps (counted
+as at least one) may not pass ``TRIAL_DRAW_CAP``, 10**8 draws per
+simulation; ``verify`` counts the steps of its simulation suite.  Both
+checks run before numpy is imported.  An exact value with more digits
 than Python's integer-to-string limit is a usage error too.  ``table``
 and ``simulate`` decide that before any DP or simulation runs, from
 p's denominator: the largest denominator at step n is a known power of
@@ -62,6 +66,9 @@ from .models import (
 DEFAULT_STEP_CAP = 200
 DP_STEP_CAP = 1000
 SERIES_ORDER_CAP = 200
+# Draws one ``simulate`` call may make: trials times steps, at least one
+# step counted.  At the cap a simulation takes about a second.
+TRIAL_DRAW_CAP = 10**8
 
 TABLE_HEADER = ("model", "step", "state", "num", "den", "decimal")
 COEFF_HEADER = ("model", "steps", "state", "source", "num", "den", "decimal", "note")
@@ -117,6 +124,17 @@ def _step_cap() -> int:
     if cap < 0:
         raise UsageError("KNOEDEL_MAX_STEPS must be non-negative")
     return cap
+
+
+def _check_trials(trials: int, steps: int) -> None:
+    """Refuse a trial count below 1, or one whose simulation of ``steps``
+    steps would take more than ``TRIAL_DRAW_CAP`` draws."""
+    if trials < 1:
+        raise UsageError("trials must be positive")
+    if trials * max(steps, 1) > TRIAL_DRAW_CAP:
+        raise UsageError(
+            f"trials times steps exceeds the safety cap of {TRIAL_DRAW_CAP} draws"
+        )
 
 
 def _check_steps(steps: int, name: str, cap: int) -> None:
@@ -295,8 +313,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not 2 <= args.order <= SERIES_ORDER_CAP:
         raise UsageError(f"order must be between 2 and {SERIES_ORDER_CAP}")
     _check_steps(args.max_steps, "max-steps", _step_cap())
-    if args.trials < 1:
-        raise UsageError("trials must be positive")
+    _check_trials(args.trials, verification.SIMULATION_STEPS)
     results = verification.run_verification(
         order=args.order,
         max_steps=args.max_steps,
@@ -324,9 +341,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise UsageError("trials must be positive")
     _check_steps(args.steps, "steps", _step_cap())
+    _check_trials(args.trials, args.steps)
     model = _model_from(args)
     if _first_unprintable_step(model, args.steps) is not None:
         raise _unprintable(args.steps)

@@ -1,4 +1,5 @@
-"""Seeded Monte Carlo simulation of the walks, vectorized over trials.
+"""Seeded Monte Carlo simulation of the walks, run in fixed-size blocks
+of trials.
 
 The random source is SplitMix64.  Draw k of trial i under seed s is the
 pure function
@@ -9,7 +10,9 @@ pure function
 where mix64 is the SplitMix64 finalizer.  Every trial therefore owns an
 independent substream derived only from (seed, trial index), so results
 are identical no matter how trials are batched or vectorized, and the
-whole scheme can be re-implemented from this comment alone.
+whole scheme can be re-implemented from this comment alone.  ``simulate``
+relies on that: it runs the trials ``BLOCK`` at a time, so its memory
+does not grow with the trial count.
 
 A draw r maps to a red step exactly when r < ceil(p * 2^64), an integer
 comparison with no floating point anywhere; the red probability is off
@@ -40,6 +43,10 @@ _MASK = (1 << 64) - 1
 
 DEFAULT_SEED = 1729
 
+# Trials per block in ``simulate``.  A block's arrays take a few MB,
+# whatever the trial count.
+BLOCK = 1 << 16
+
 
 def mix64(value: int) -> int:
     """SplitMix64 finalizer on a 64-bit integer (pure Python reference)."""
@@ -61,12 +68,33 @@ def red_threshold(p: Fraction) -> int:
     return min(threshold, _MASK)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
+def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> None:
+    """SplitMix64 finalizer on a uint64 array, in place; ``scratch`` is a
+    uint64 array of the same length whose contents are overwritten."""
     import numpy as np
 
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+
+
+def successor_table(model: WalkModel, steps: int) -> tuple[list[State], list[int]]:
+    """Slot states and the interleaved successor table of ``successor_slots``.
+
+    Entry 2 * slot holds 2 * (black successor slot) and entry 2 * slot + 1
+    holds 2 * (red successor slot), so a trial at even position ``pos``
+    moves to ``table[pos + red]`` and sits in slot ``pos >> 1``.
+    """
+    states, red, black = successor_slots(model, steps)
+    table = [0] * (2 * len(states))
+    table[0::2] = [2 * slot for slot in black]
+    table[1::2] = [2 * slot for slot in red]
+    return states, table
 
 
 @dataclass(frozen=True)
@@ -98,10 +126,11 @@ class EmpiricalDistribution:
 def simulate(config: SimConfig) -> EmpiricalDistribution:
     """Run all trials and tally final states.
 
-    Vectorized with numpy over trials; the per-draw semantics match
-    ``splitmix_draw`` bit for bit.  Trials hold slots of
-    ``successor_slots`` and each step gathers the red or black successor.
-    numpy is imported here, so commands that never simulate skip it.
+    Trials run ``BLOCK`` at a time with numpy; the per-draw semantics
+    match ``splitmix_draw`` bit for bit.  A trial holds its position in
+    ``successor_table``, twice its slot, and each step is one lookup into
+    that table at the position plus the red bit.  numpy is imported here,
+    so commands that never simulate skip it.
     """
     import numpy as np
 
@@ -109,18 +138,25 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
         raise ValueError("trials must be positive")
     if config.steps < 0:
         raise ValueError("steps must be non-negative")
-    states, red, black = successor_slots(config.model, config.steps)
-    red_next, black_next = np.array(red), np.array(black)
+    states, table = successor_table(config.model, config.steps)
+    table = np.array(table)
+    start = 2 * states.index(0)
     threshold = np.uint64(red_threshold(config.model.p))
-    index = np.arange(1, config.trials + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        base = _mix64_array(np.uint64(config.seed & _MASK) + index * np.uint64(GOLDEN))
-        slots = np.full(config.trials, states.index(0))
+    counts = np.zeros(len(states), dtype=np.int64)
+    for first in range(0, config.trials, BLOCK):
+        base = np.arange(first + 1, min(first + BLOCK, config.trials) + 1, dtype=np.uint64)
+        base *= np.uint64(GOLDEN)
+        base += np.uint64(config.seed & _MASK)
+        scratch = np.empty_like(base)
+        _mix64_inplace(base, scratch)
+        r = np.empty_like(base)
+        pos = np.full(len(base), start)
         for k in range(config.steps):
-            r = _mix64_array(base + np.uint64(k + 1) * np.uint64(GOLDEN))
-            slots = np.where(r < threshold, red_next[slots], black_next[slots])
-    counts = np.bincount(slots).tolist()
-    tally = {states[slot]: count for slot, count in enumerate(counts) if count}
+            np.add(base, np.uint64((k + 1) * GOLDEN & _MASK), out=r)
+            _mix64_inplace(r, scratch)
+            pos = table[pos + (r < threshold)]
+        counts += np.bincount(pos >> 1, minlength=len(states))
+    tally = {states[slot]: count for slot, count in enumerate(counts.tolist()) if count}
     return EmpiricalDistribution(config.steps, config.trials, config.seed, tally)
 
 

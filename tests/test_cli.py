@@ -488,6 +488,37 @@ def test_simulate_requires_positive_trials(capsys):
     assert "trials" in err
 
 
+class SimulationReached(Exception):
+    """Raised by a stand-in for ``montecarlo.simulate``."""
+
+
+def test_trials_cap_refuses_before_simulating(capsys, monkeypatch):
+    """Over-cap trial counts, and a non-positive one on ``verify``, exit 2
+    with one line and never reach the simulation; 10**6 trials by 100
+    steps does."""
+    def simulate(config):
+        raise SimulationReached(config.trials)
+
+    monkeypatch.setattr(cli.montecarlo, "simulate", simulate)
+    for argv in (
+        ["simulate", "--model", "double-large", "--steps", "12", "--trials", "100000000000"],
+        ["verify", "--order", "5", "--max-steps", "9", "--trials", "100000000000"],
+        ["verify", "--order", "5", "--max-steps", "9", "--trials", "0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "trials" in err and "Traceback" not in err
+    argv = ["simulate", "--model", "double-small", "--steps", "100", "--trials", "1000000"]
+    with pytest.raises(SimulationReached):
+        main(argv)
+    for trials, steps in ((10**8, 0), (10**8, 1), (10**6, 100), (20000, 6)):
+        cli._check_trials(trials, steps)
+    for trials, steps in ((10**8 + 1, 0), (10**6 + 1, 100)):
+        with pytest.raises(cli.UsageError, match="safety cap"):
+            cli._check_trials(trials, steps)
+
+
 def test_verify_passes_at_reduced_sizes(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--order", "5", "--max-steps", "9", "--trials", "2000"
@@ -643,13 +674,20 @@ def test_console_script_entry_point():
 
 
 def test_table_process_does_not_import_numpy():
-    """Only ``simulate`` (and ``verify``, through it) needs numpy."""
+    """Only ``simulate`` (and ``verify``, through it) needs numpy, and the
+    trials cap refuses before it is imported."""
     result = run_python("-c", """\
 import contextlib, io, sys
 import knoedel.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = knoedel.cli.main(["table", "--model", "double-large", "--steps", "3"])
 assert code == 0, code
+def simulate(config):
+    raise AssertionError("simulate was called")
+knoedel.cli.montecarlo.simulate = simulate
+for argv in (["simulate", "--model", "double-large", "--steps", "2"], ["verify"]):
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert knoedel.cli.main([*argv, "--trials", "100000000000"]) == 2
 assert "numpy" not in sys.modules, "numpy was imported"
 """)
     assert result.returncode == 0, result.stderr

@@ -1,10 +1,12 @@
 """Tests for the seeded simulation and its deviation reports."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from knoedel.models import BETA, StepDistribution, WalkModel, dp_distribution
+from knoedel import montecarlo
+from knoedel.models import BETA, StepDistribution, WalkModel, dp_distribution, successor_slots
 from knoedel.montecarlo import (
     EmpiricalDistribution,
     SimConfig,
@@ -13,7 +15,25 @@ from knoedel.montecarlo import (
     red_threshold,
     simulate,
     splitmix_draw,
+    successor_table,
 )
+
+
+def replay(config: SimConfig) -> tuple[dict, set]:
+    """Final-state tally and visited states of ``config``, one scalar
+    ``splitmix_draw`` and one ``WalkModel.step`` per draw."""
+    model = config.model
+    threshold = red_threshold(model.p)
+    counts: dict = {}
+    visited = set()
+    for trial in range(config.trials):
+        state = 0
+        for k in range(config.steps):
+            red = splitmix_draw(config.seed, trial, k) < threshold
+            state = model.step(state, red)
+            visited.add(state)
+        counts[state] = counts.get(state, 0) + 1
+    return counts, visited
 
 
 def test_mix64_matches_reference_stream():
@@ -39,7 +59,7 @@ def test_red_threshold_is_exact_ceiling():
 
 
 def test_simulate_matches_scalar_replay():
-    """The vectorized path reproduces the documented draw scheme bit for bit."""
+    """The numpy path reproduces the documented draw scheme bit for bit."""
     for model, steps in [
         (WalkModel.double_large(), 9),
         (WalkModel.double_small(), 9),
@@ -47,18 +67,49 @@ def test_simulate_matches_scalar_replay():
         (WalkModel.double_small(Fraction(2, 7)), 11),
     ]:
         config = SimConfig(model, steps=steps, trials=60, seed=2024)
-        threshold = red_threshold(model.p)
-        counts: dict = {}
-        visited = set()
-        for trial in range(config.trials):
-            state = 0
-            for k in range(config.steps):
-                red = splitmix_draw(config.seed, trial, k) < threshold
-                state = model.step(state, red)
-                visited.add(state)
-            counts[state] = counts.get(state, 0) + 1
+        counts, visited = replay(config)
         assert simulate(config).counts == counts
         assert BETA in visited
+
+
+@pytest.mark.parametrize("model", [WalkModel.double_large(), WalkModel.double_small()],
+                         ids=lambda model: model.name)
+def test_simulate_does_not_depend_on_block_size(monkeypatch, model):
+    """1003 trials fill no block of 7 or 2**16 exactly; every block size
+    gives the tally of the scalar replay."""
+    config = SimConfig(model, steps=10, trials=1003, seed=31)
+    unpatched = simulate(config).counts
+    assert unpatched == replay(config)[0]
+    for block in (1, 7, 1 << 16):
+        monkeypatch.setattr(montecarlo, "BLOCK", block)
+        assert simulate(config).counts == unpatched
+
+
+@pytest.mark.parametrize("model", [WalkModel.double_large(), WalkModel.double_small()],
+                         ids=lambda model: model.name)
+def test_successor_table_interleaves_successor_slots(model):
+    for steps in (0, 1, 2, 9):
+        states, red, black = successor_slots(model, steps)
+        table_states, table = successor_table(model, steps)
+        assert table_states == states
+        assert len(table) == 2 * len(states)
+        for slot in range(len(states)):
+            assert table[2 * slot] == 2 * black[slot]
+            assert table[2 * slot + 1] == 2 * red[slot]
+        # The states first reached at the last step move past the last slot.
+        assert max(table) >= 2 * len(states)
+
+
+def test_simulate_memory_does_not_grow_with_trials():
+    """numpy reports its buffers to tracemalloc; holding all 10**6 trials
+    at once would take 8 MB per uint64 array."""
+    tracemalloc.start()
+    try:
+        simulate(SimConfig(WalkModel.double_large(), 12, 1_000_000, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, f"simulate peaked at {peak} bytes"
 
 
 def test_simulate_is_deterministic():
