@@ -22,7 +22,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.  The
 step cap on ``table --steps``, ``simulate --steps`` and ``verify
 --max-steps`` defaults to 200 and can be overridden through the
 ``KNOEDEL_MAX_STEPS`` environment variable; ``coeff --source dp
---steps`` has a fixed cap of its own, 1000.  ``series --order`` and
+--steps`` has a fixed cap of its own, 1000, and ``coeff --source
+closed-form --steps`` another, 15000, which applies only to states that
+can carry mass: a state off its residue class or beyond the walk's
+frontier is an exact 0 at any step count and is answered at once.
+``coeff --source dp`` also refuses, before the DP, a walk whose largest
+denominator at that step, b**denominator_power for p = a/b, has more
+than ``DP_DIGIT_CAP`` digits, 4000.  ``series --order`` and
 ``verify --order`` are capped at 200.  ``simulate --trials`` and
 ``verify --trials`` must be positive, and trials times steps (counted
 as at least one) may not pass ``TRIAL_DRAW_CAP``, 10**8 draws per
@@ -55,16 +61,26 @@ from typing import Iterable
 
 from . import closedforms, montecarlo, verification
 from .models import (
+    BETA,
     WalkModel,
     denominator_power,
     dp_distribution,
     dp_numerators,
+    frontier,
     parse_state,
     residue_class,
 )
 
 DEFAULT_STEP_CAP = 200
 DP_STEP_CAP = 1000
+# Digits of the DP's largest denominator.  At the step cap, a DP over
+# denominators of this size took 0.4-0.8 s on a 2-vCPU x86_64 VM.
+DP_DIGIT_CAP = 4000
+# Steps of a closed-form coefficient that can be nonzero.  At the cap
+# the slowest such sum took 0.3 s on the same VM.  From about 9000 steps
+# on, a value over 3**n, less the few factors of 3 that cancel, is past
+# Python's default integer-to-string limit anyway.
+CLOSED_FORM_STEP_CAP = 15000
 SERIES_ORDER_CAP = 200
 # Draws one ``simulate`` call may make: trials times steps, at least one
 # step counted.  At the cap a simulation takes about a second.
@@ -134,6 +150,19 @@ def _check_trials(trials: int, steps: int) -> None:
     if trials * max(steps, 1) > TRIAL_DRAW_CAP:
         raise UsageError(
             f"trials times steps exceeds the safety cap of {TRIAL_DRAW_CAP} draws"
+        )
+
+
+def _check_dp_digits(model: WalkModel, steps: int) -> None:
+    """Refuse a DP whose largest denominator, b**denominator_power(model,
+    steps) for p = a/b, has more than ``DP_DIGIT_CAP`` digits; every DP
+    numerator carries about that many.  The bit-length test refuses a
+    power far past the cap without building it."""
+    base, power = model.p.denominator, denominator_power(model, steps)
+    if (base.bit_length() - 1) * power > 4 * DP_DIGIT_CAP or base**power >= 10**DP_DIGIT_CAP:
+        raise UsageError(
+            f"the exact DP at {steps} steps works over denominators of more than "
+            f"{DP_DIGIT_CAP} digits, past its safety cap"
         )
 
 
@@ -292,15 +321,21 @@ def cmd_coeff(args: argparse.Namespace) -> int:
         state = parse_state(args.state)
     except ValueError:
         raise UsageError(f"invalid state {_quoted(args.state)}")
+    on_residue = residue_class(model, state) == args.steps % 3
     if args.source == "dp":
+        _check_dp_digits(model, args.steps)
         value = dp_distribution(model, args.steps).prob(state)
     else:
+        # Off its residue class or beyond the frontier a state is an exact
+        # 0 at any step count, which the closed forms return at once.
+        if on_residue and (state is BETA or state <= frontier(model, args.steps)):
+            _check_steps(args.steps, "steps", CLOSED_FORM_STEP_CAP)
         try:
             value = closedforms.closed_form_probability(model, state, args.steps)
         except ValueError as exc:
             raise UsageError(str(exc))
     _check_printable(value, args.steps, _printable_bound())
-    note = "" if residue_class(model, state) == args.steps % 3 else "off-residue"
+    note = "" if on_residue else "off-residue"
     row = (
         model.name, args.steps, str(state), args.source, value.numerator,
         value.denominator, decimal_string(value, args.digits), note,

@@ -250,7 +250,7 @@ DP_COEFF = ["coeff", "--model", "double-large", "--state", "0", "--source", "dp"
 
 def test_coeff_dp_respects_its_own_step_cap(capsys, monkeypatch):
     """``coeff --source dp`` is capped at 1000 steps; ``KNOEDEL_MAX_STEPS``
-    does not move that cap, and the closed form has none."""
+    does not move that cap, and the closed form's own cap is higher."""
     monkeypatch.setenv("KNOEDEL_MAX_STEPS", "2")
     code, out, err = run_cli(capsys, *DP_COEFF, "--steps", "1001")
     assert code == 2 and out == ""
@@ -262,6 +262,60 @@ def test_coeff_dp_respects_its_own_step_cap(capsys, monkeypatch):
     assert code == 0 and out.splitlines()[1].startswith("double-large,1001,0,closed-form,")
     code, _, err = run_cli(capsys, *DP_COEFF, "--steps", "-1")
     assert code == 2 and err == "error: steps must be non-negative\n"
+
+
+CLOSED_FORM_COEFF = ["coeff", "--source", "closed-form"]
+
+
+@pytest.mark.parametrize("model, state, steps", [
+    ("double-small", "0", 300000),
+    ("double-large", "0", 15003),
+    ("double-large", "beta", 15001),
+    ("double-small", "15001", 15001),
+])
+def test_coeff_closed_form_refuses_past_its_step_cap(capsys, model, state, steps):
+    """A state that can carry mass past 15000 steps is refused before any
+    sum; at 300000 steps the sum would take 13 s to reach a value too long
+    to print."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *CLOSED_FORM_COEFF, "--model", model, "--state", state,
+                             "--steps", str(steps))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: steps {steps} exceeds the safety cap 15000\n"
+
+
+@pytest.mark.parametrize("model, state, steps, note", [
+    ("double-large", "1", 300000, "off-residue"),
+    ("double-large", "beta", 300000, "off-residue"),
+    # On the residue class, beyond the frontier of 600000 and 300000.
+    ("double-large", "900000", 300000, ""),
+    ("double-small", "300003", 300000, ""),
+])
+def test_coeff_closed_form_answers_zeros_past_its_step_cap(capsys, model, state, steps, note):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *CLOSED_FORM_COEFF, "--model", model, "--state", state,
+                             "--steps", str(steps))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == f"{model},{steps},{state},closed-form,0,1,0,{note}"
+
+
+def test_coeff_dp_refuses_huge_denominators_before_the_dp(capsys):
+    """The DP's largest denominator b**denominator_power may have at most
+    4000 digits: (10**8 - 1)**500 has 4000, 10**4000 has 4001, and
+    10**600000 and 10**4299000 are refused without being built (the
+    second takes about 2 s to build)."""
+    code, out, err = run_cli(capsys, *DP_COEFF, "--steps", "500", "--p", "1/99999999")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "double-large,500,0,dp,0,1,0,off-residue"
+    for steps, p in (("500", "1e-8"), ("300", "1e-2000"), ("1000", "1e-4299")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *DP_COEFF, "--steps", steps, "--p", p)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == (f"error: the exact DP at {steps} steps works over denominators of "
+                       "more than 4000 digits, past its safety cap\n")
 
 
 def test_coeff_closed_form_beta(capsys):
