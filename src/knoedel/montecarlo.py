@@ -11,14 +11,12 @@ where mix64 is the SplitMix64 finalizer.  Every trial therefore owns an
 independent substream derived only from (seed, trial index), so results
 are identical no matter how trials are batched or vectorized, and the
 whole scheme can be re-implemented from this comment alone.  ``simulate``
-relies on that: it runs the trials ``BLOCK`` at a time, so its memory
-does not grow with the trial count, and it runs the blocks on a thread
-pool of at most ``MAX_WORKERS`` threads, one per CPU the process may
-run on.  numpy releases the interpreter lock inside each block's array
-operations, so blocks overlap.  A block's tally is an integer count per
-state that depends only on (seed, trial range), and integer sums do not
-depend on order, so neither the block size nor the number of threads
-can change a tally.
+relies on that: it runs the trials ``BLOCK`` at a time, on one thread, so
+its memory does not grow with the trial count.  A block's tally is an
+integer count per state that depends only on (seed, trial range), and
+integer sums do not depend on order, so the block size cannot change a
+tally.  One call allocates its arrays once; every block and every step
+writes into them.
 
 A draw r maps to a red step exactly when r < ceil(p * 2^64), an integer
 comparison with no floating point anywhere; the red probability is off
@@ -33,10 +31,8 @@ form of the usual four-standard-deviation binomial bound.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .models import (
     State,
@@ -51,15 +47,9 @@ _MASK = (1 << 64) - 1
 
 DEFAULT_SEED = 1729
 
-# Trials per block in ``simulate``.  A block's arrays take about 1.5 MB,
-# whatever the trial count.  With two blocks in flight on a 2-vCPU
-# machine, the peak RSS of the ``monte-carlo`` benchmark rose 3.9 % over
-# one block of 2**16 at a time; two blocks of 2**16 raised it 12.6 %.
-BLOCK = 1 << 15
-
-# Most threads one ``simulate`` call runs blocks on, so at most this
-# many blocks are in flight.
-MAX_WORKERS = 4
+# Trials per block in ``simulate``.  The arrays of a call take about
+# 2.7 MB, whatever the trial count.
+BLOCK = 1 << 16
 
 
 def mix64(value: int) -> int:
@@ -137,36 +127,49 @@ class EmpiricalDistribution:
         return Fraction(self.count(state), self.trials)
 
 
-def _workers() -> int:
-    """Threads for ``simulate``: the CPUs this process may run on, at
-    most ``MAX_WORKERS``."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, MAX_WORKERS)
+class _Blocks:
+    """The arrays of one ``simulate`` call, reused by each of its blocks.
 
+    ``lane[j]`` is seed + (j+1) g, so trial ``first + j`` starts from
+    mix64(lane[j] + first g).  Positions share the dtype of ``table``,
+    the smallest unsigned one that holds them; its entries are even, so
+    a position plus the red bit fits too.  ``index`` is ``np.intp``,
+    so ``take`` converts nothing.  ``mode="clip"`` only skips the
+    bounds check, since a walk of ``steps`` steps never looks past the
+    table.
+    """
 
-def _block_counts(
-    table: np.ndarray, start: int, threshold: np.uint64, seed: int, steps: int,
-    trials: range,
-) -> np.ndarray:
-    """Final-slot counts of the trials in ``trials``, each started at
-    position ``start`` of ``table`` and moved ``steps`` times."""
-    import numpy as np
+    def __init__(self, table: np.ndarray, start: int, threshold: np.uint64, seed: int,
+                 steps: int, size: int):
+        import numpy as np
 
-    base = np.arange(trials.start + 1, trials.stop + 1, dtype=np.uint64)
-    base *= np.uint64(GOLDEN)
-    base += np.uint64(seed & _MASK)
-    scratch = np.empty_like(base)
-    _mix64_inplace(base, scratch)
-    r = np.empty_like(base)
-    pos = np.full(len(base), start)
-    for k in range(steps):
-        np.add(base, np.uint64((k + 1) * GOLDEN & _MASK), out=r)
-        _mix64_inplace(r, scratch)
-        pos = table[pos + (r < threshold)]
-    return np.bincount(pos >> 1, minlength=len(table) >> 1)
+        self.table, self.start, self.threshold, self.steps = table, start, threshold, steps
+        self.lane = np.arange(1, size + 1, dtype=np.uint64)
+        self.lane *= np.uint64(GOLDEN)
+        self.lane += np.uint64(seed & _MASK)
+        self.base, self.scratch, self.r = (np.empty(size, np.uint64) for _ in range(3))
+        self.red = np.empty(size, bool)
+        self.pos = np.empty(size, table.dtype)
+        self.index = np.empty(size, np.intp)
+
+    def counts(self, first: int, trials: int) -> np.ndarray:
+        """Final-slot counts of trials ``first`` to ``first + trials - 1``."""
+        import numpy as np
+
+        base, scratch, r, red, pos, index = (
+            a[:trials] for a in (self.base, self.scratch, self.r, self.red, self.pos, self.index)
+        )
+        np.add(self.lane[:trials], np.uint64(first * GOLDEN & _MASK), out=base)
+        _mix64_inplace(base, scratch)
+        pos.fill(self.start)
+        for k in range(self.steps):
+            np.add(base, np.uint64((k + 1) * GOLDEN & _MASK), out=r)
+            _mix64_inplace(r, scratch)
+            np.less(r, self.threshold, out=red)
+            np.add(pos, red, out=index)
+            self.table.take(index, out=pos, mode="clip")
+        np.right_shift(pos, 1, out=index)
+        return np.bincount(index, minlength=len(self.table) >> 1)
 
 
 def simulate(config: SimConfig) -> EmpiricalDistribution:
@@ -175,15 +178,10 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     Trials run ``BLOCK`` at a time with numpy; the per-draw semantics
     match ``splitmix_draw`` bit for bit.  A trial holds its position in
     ``successor_table``, twice its slot, and each step is one lookup into
-    that table at the position plus the red bit.  The blocks run on a
-    thread pool opened for this call, with one thread per CPU the process
-    may run on and at most ``MAX_WORKERS``; their integer counts are
-    summed, so the tally is the same for any block size and thread count.
-    An exception raised in a block reaches the caller.  numpy is imported
-    here, so commands that never simulate skip it.
+    that table at the position plus the red bit.  The blocks' integer
+    counts are summed, so the tally is the same for any block size.
+    numpy is imported here, so commands that never simulate skip it.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     import numpy as np
 
     if config.trials < 1:
@@ -191,16 +189,15 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     if config.steps < 0:
         raise ValueError("steps must be non-negative")
     states, table = successor_table(config.model, config.steps)
-    run = partial(
-        _block_counts, np.array(table), 2 * states.index(0),
+    blocks = _Blocks(
+        np.array(table, dtype=np.min_scalar_type(max(table))), 2 * states.index(0),
         np.uint64(red_threshold(config.model.p)), config.seed, config.steps,
+        min(BLOCK, config.trials),
     )
-    blocks = [
-        range(first, min(first + BLOCK, config.trials))
+    counts = sum(
+        blocks.counts(first, min(BLOCK, config.trials - first))
         for first in range(0, config.trials, BLOCK)
-    ]
-    with ThreadPoolExecutor(_workers()) as pool:
-        counts = sum(pool.map(run, blocks))
+    )
     tally = {states[slot]: count for slot, count in enumerate(counts.tolist()) if count}
     return EmpiricalDistribution(config.steps, config.trials, config.seed, tally)
 

@@ -1,6 +1,5 @@
 """Tests for the seeded simulation and its deviation reports."""
 
-import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -73,59 +72,26 @@ def test_simulate_matches_scalar_replay():
         assert BETA in visited
 
 
+def test_simulate_matches_scalar_replay_past_255_positions():
+    """From 63 steps on the walks' tables need uint16 positions."""
+    for model in (WalkModel.double_large(), WalkModel.double_small(Fraction(4, 5))):
+        _, table = successor_table(model, 130)
+        assert max(table) > 255
+        config = SimConfig(model, steps=130, trials=40, seed=77)
+        assert simulate(config).counts == replay(config)[0]
+
+
 @pytest.mark.parametrize("model", [WalkModel.double_large(), WalkModel.double_small()],
                          ids=lambda model: model.name)
 def test_simulate_does_not_depend_on_block_size(monkeypatch, model):
-    """1003 trials fill no block of 7 or 2**15 exactly; every block size,
-    on one thread or on four, gives the tally of the scalar replay."""
+    """1003 trials fill no block of 7 or 2**15 exactly; every block size
+    gives the tally of the scalar replay."""
     config = SimConfig(model, steps=10, trials=1003, seed=31)
     unpatched = simulate(config)
     assert unpatched.counts == replay(config)[0]
-    # Eight usable CPUs, so the cap alone sets the number of threads.
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(8)),
-                        raising=False)
-    for cap in (1, 4):
-        monkeypatch.setattr(montecarlo, "MAX_WORKERS", cap)
-        for block in (1, 7, 1 << 15):
-            monkeypatch.setattr(montecarlo, "BLOCK", block)
-            assert simulate(config) == unpatched
-
-
-def test_workers_are_the_usable_cpus_up_to_the_cap(monkeypatch):
-    for cpus, workers in ((1, 1), (3, 3), (4, 4), (64, 4)):
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        assert montecarlo._workers() == workers
-    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
-    assert montecarlo._workers() == 1
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 6)
-    assert montecarlo._workers() == 4
-
-
-def test_simulate_leaves_no_thread_behind(monkeypatch):
-    monkeypatch.setattr(montecarlo, "BLOCK", 100)
-    before = threading.active_count()
-    simulate(SimConfig(WalkModel.double_small(), 8, 1003, 3))
-    assert threading.active_count() == before
-
-
-def test_simulate_raises_what_a_block_raises(monkeypatch):
-    """An error in one block reaches the caller, and the pool's threads
-    are gone when it does."""
-    block_counts = montecarlo._block_counts
-
-    def failing(*args):
-        if args[-1].start == 500:
-            raise RuntimeError("block 500 failed")
-        return block_counts(*args)
-
-    monkeypatch.setattr(montecarlo, "BLOCK", 100)
-    monkeypatch.setattr(montecarlo, "_block_counts", failing)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="block 500 failed"):
-        simulate(SimConfig(WalkModel.double_large(), 8, 1003, 3))
-    assert threading.active_count() == before
+    for block in (1, 7, 1 << 15):
+        monkeypatch.setattr(montecarlo, "BLOCK", block)
+        assert simulate(config) == unpatched
 
 
 @pytest.mark.parametrize("model", [WalkModel.double_large(), WalkModel.double_small()],
@@ -153,6 +119,20 @@ def test_simulate_memory_does_not_grow_with_trials():
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000, f"simulate peaked at {peak} bytes"
+
+
+def test_simulate_allocates_only_the_arrays_of_the_call():
+    """A call holds, per trial of a block, four uint64 arrays, one intp,
+    one bool and one uint8 position (fewer than 256 positions at 40
+    steps), 42 bytes; no step and no block adds a temporary as large as
+    one bool per trial."""
+    tracemalloc.start()
+    try:
+        simulate(SimConfig(WalkModel.double_large(), 40, montecarlo.BLOCK, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 42 * montecarlo.BLOCK + montecarlo.BLOCK // 2, peak
 
 
 def test_simulate_is_deterministic():
