@@ -18,17 +18,16 @@ Rounding divides through one cached decimal context per digit count.
 the num and den columns, and one decimal divisor per step.  The other
 commands round a ``Fraction`` through ``decimal_string``.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  The
-step cap on ``table --steps``, ``simulate --steps`` and ``verify
---max-steps`` defaults to 200 and can be overridden through the
-``KNOEDEL_MAX_STEPS`` environment variable; ``coeff --source dp
---steps`` has a fixed cap of its own, 1000, and ``coeff --source
-closed-form --steps`` another, 15000, which applies only to states that
-can carry mass: a state off its residue class or beyond the walk's
-frontier is an exact 0 at any step count and is answered at once.
-``coeff --source dp`` also refuses, before the DP, a walk whose largest
-denominator at that step, b**denominator_power for p = a/b, has more
-than ``DP_DIGIT_CAP`` digits, 4000.  ``series --order`` and
+Exit codes: 0 success, 1 verification failure, 2 usage error.  Every
+cap is a constant.  ``table --steps``, ``simulate --steps`` and ``verify
+--max-steps`` share ``STEP_CAP``, 200; ``coeff --source dp --steps`` has
+a cap of its own, 1000, and ``coeff --source closed-form --steps``
+another, 15000, which applies only to states that can carry mass: a
+state off its residue class or beyond the walk's frontier is an exact 0
+at any step count and is answered at once.  ``coeff --source dp`` also
+refuses, before the DP, a walk whose largest denominator at that step,
+b**denominator_power for p = a/b, has more than ``DP_DIGIT_CAP`` digits,
+4000.  ``series --order`` and
 ``verify --order`` are capped at 200.  ``simulate --trials`` and
 ``verify --trials`` must be positive, and trials times steps (counted
 as at least one) may not pass ``TRIAL_DRAW_CAP``, 10**8 draws per
@@ -37,7 +36,9 @@ checks run before numpy is imported.  An exact value with more digits
 than Python's integer-to-string limit is a usage error too.  ``table``
 and ``simulate`` decide that before any DP or simulation runs, from
 p's denominator: the largest denominator at step n is a known power of
-it (``models.denominator_power``).  ``--digits`` above the same limit
+it (``models.denominator_power``) that never shrinks as n grows.  Every
+size refusal asks one question, ``_too_long``: does base**power have
+more than a given number of digits.  ``--digits`` above the same limit
 is a usage error, and so is a ``--p`` whose exponent reaches it.  An
 error line quotes at most the first 40 characters of an argument.
 The argument parser is built once per process.
@@ -49,7 +50,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import os
 import re
 import sys
 from decimal import Context, Decimal
@@ -71,7 +71,7 @@ from .models import (
     residue_class,
 )
 
-DEFAULT_STEP_CAP = 200
+STEP_CAP = 200
 DP_STEP_CAP = 1000
 # Digits of the DP's largest denominator.  At the step cap, a DP over
 # denominators of this size took 0.4-0.8 s on a 2-vCPU x86_64 VM.
@@ -129,19 +129,6 @@ def _quoted(text: str, limit: int = 40) -> str:
     return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
 
 
-def _step_cap() -> int:
-    raw = os.environ.get("KNOEDEL_MAX_STEPS")
-    if raw is None:
-        return DEFAULT_STEP_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"KNOEDEL_MAX_STEPS must be an integer, got {_quoted(raw)}")
-    if cap < 0:
-        raise UsageError("KNOEDEL_MAX_STEPS must be non-negative")
-    return cap
-
-
 def _check_trials(trials: int, steps: int) -> None:
     """Refuse a trial count below 1, or one whose simulation of ``steps``
     steps would take more than ``TRIAL_DRAW_CAP`` draws."""
@@ -153,17 +140,14 @@ def _check_trials(trials: int, steps: int) -> None:
         )
 
 
-def _check_dp_digits(model: WalkModel, steps: int) -> None:
-    """Refuse a DP whose largest denominator, b**denominator_power(model,
-    steps) for p = a/b, has more than ``DP_DIGIT_CAP`` digits; every DP
-    numerator carries about that many.  The bit-length test refuses a
-    power far past the cap without building it."""
-    base, power = model.p.denominator, denominator_power(model, steps)
-    if (base.bit_length() - 1) * power > 4 * DP_DIGIT_CAP or base**power >= 10**DP_DIGIT_CAP:
-        raise UsageError(
-            f"the exact DP at {steps} steps works over denominators of more than "
-            f"{DP_DIGIT_CAP} digits, past its safety cap"
-        )
+def _too_long(base: int, power: int, digits: int) -> bool:
+    """Whether base**power has more than ``digits`` digits; never for
+    ``digits`` 0, Python's integer-to-string limit switched off.  The
+    bit-length test answers for a power far past ``digits`` without
+    building it."""
+    return bool(digits) and (
+        (base.bit_length() - 1) * power > 4 * digits or base**power >= 10**digits
+    )
 
 
 def _check_steps(steps: int, name: str, cap: int) -> None:
@@ -206,44 +190,15 @@ def _model_from(args: argparse.Namespace) -> WalkModel:
         raise UsageError(str(exc))
 
 
-def _printable_bound() -> int:
-    """10**limit for Python's integer-to-string limit of ``limit`` digits,
-    or 0 when the limit is off; worked out once per command."""
+def _check_printable(base: int, power: int, steps: int) -> None:
+    """Refuse a value at ``steps`` steps whose denominator, its longest
+    part, is base**power with more digits than Python will print."""
     limit = sys.get_int_max_str_digits()
-    return 10**limit if limit else 0
-
-
-def _unprintable(steps: int) -> UsageError:
-    return UsageError(
-        f"the exact value at {steps} steps has more than "
-        f"{sys.get_int_max_str_digits()} digits, "
-        "past Python's limit for integer-to-string conversion"
-    )
-
-
-def _check_printable(value: Fraction, steps: int, bound: int) -> None:
-    """Refuse an exact value that Python will not turn into a decimal string.
-
-    The value is a probability, so its denominator is its longest part.
-    """
-    if bound and value.denominator >= bound:
-        raise _unprintable(steps)
-
-
-def _first_unprintable_step(model: WalkModel, steps: int) -> int | None:
-    """First step in 0..steps with a mass past ``_printable_bound()``, or None.
-
-    The largest denominator at step n is b**denominator_power(model, n)
-    for p = a/b, and it never shrinks as n grows, so this is the step a
-    scan of every mass would stop at, found without running the walk.
-    """
-    bound = _printable_bound()
-    if bound:
-        base = model.p.denominator
-        for n in range(steps + 1):
-            if base ** denominator_power(model, n) >= bound:
-                return n
-    return None
+    if _too_long(base, power, limit):
+        raise UsageError(
+            f"the exact value at {steps} steps has more than {limit} digits, "
+            "past Python's limit for integer-to-string conversion"
+        )
 
 
 _JSON_VALUE = {
@@ -290,11 +245,16 @@ def _emit(rows: list[tuple], fmt: str, header: tuple[str, ...]) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    _check_steps(args.steps, "steps", _step_cap())
+    _check_steps(args.steps, "steps", STEP_CAP)
     model = _model_from(args)
-    first = _first_unprintable_step(model, args.steps)
-    if first is not None:
-        raise _unprintable(first)
+    base = model.p.denominator
+    try:
+        _check_printable(base, denominator_power(model, args.steps), args.steps)
+    except UsageError:
+        # Name the first step a scan of every mass would stop at.
+        for n in range(args.steps):
+            _check_printable(base, denominator_power(model, n), n)
+        raise
     name = model.name
     divide = _context(args.digits).divide
     rows = []
@@ -323,7 +283,11 @@ def cmd_coeff(args: argparse.Namespace) -> int:
         raise UsageError(f"invalid state {_quoted(args.state)}")
     on_residue = residue_class(model, state) == args.steps % 3
     if args.source == "dp":
-        _check_dp_digits(model, args.steps)
+        if _too_long(model.p.denominator, denominator_power(model, args.steps), DP_DIGIT_CAP):
+            raise UsageError(
+                f"the exact DP at {args.steps} steps works over denominators of more than "
+                f"{DP_DIGIT_CAP} digits, past its safety cap"
+            )
         value = dp_distribution(model, args.steps).prob(state)
     else:
         # Off its residue class or beyond the frontier a state is an exact
@@ -334,7 +298,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
             value = closedforms.closed_form_probability(model, state, args.steps)
         except ValueError as exc:
             raise UsageError(str(exc))
-    _check_printable(value, args.steps, _printable_bound())
+    _check_printable(value.denominator, 1, args.steps)
     note = "" if on_residue else "off-residue"
     row = (
         model.name, args.steps, str(state), args.source, value.numerator,
@@ -347,7 +311,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if not 2 <= args.order <= SERIES_ORDER_CAP:
         raise UsageError(f"order must be between 2 and {SERIES_ORDER_CAP}")
-    _check_steps(args.max_steps, "max-steps", _step_cap())
+    _check_steps(args.max_steps, "max-steps", STEP_CAP)
     _check_trials(args.trials, verification.SIMULATION_STEPS)
     results = verification.run_verification(
         order=args.order,
@@ -376,11 +340,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_steps(args.steps, "steps", _step_cap())
+    _check_steps(args.steps, "steps", STEP_CAP)
     _check_trials(args.trials, args.steps)
     model = _model_from(args)
-    if _first_unprintable_step(model, args.steps) is not None:
-        raise _unprintable(args.steps)
+    _check_printable(model.p.denominator, denominator_power(model, args.steps), args.steps)
     config = montecarlo.SimConfig(model, args.steps, args.trials, args.seed)
     empirical = montecarlo.simulate(config)
     exact = dp_distribution(model, args.steps)

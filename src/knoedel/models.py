@@ -24,12 +24,13 @@ in a single residue class mod 3; ``residue_class`` returns it.
 
 The moves are written once, in ``step``; the forward dynamic program
 (``dp_numerators``) runs on successor tables read off it.  For p = a/b it
-carries integer numerators over b^n, the red edge weighing a and the
-black edge b - a, and yields each step's nonzero numerators in support
-order.  ``dp_table`` and ``dp_distribution`` form ``Fraction``s from it;
-``dp_distribution`` forms only the last row.  A brute-force sum over all
-coin sequences (``brute_force_distribution``), walked depth first through
-``step`` with integer path counts, is the oracle it is checked against.
+carries integer numerators over b^e, e = ``denominator_power``, the red
+edge weighing a and the black edge b - a, and yields each step's nonzero
+numerators in support order.  ``dp_table`` and ``dp_distribution`` form
+``Fraction``s from it; ``dp_distribution`` forms only the last row.  A
+brute-force sum over all coin sequences (``brute_force_distribution``),
+walked depth first through ``step`` with integer path counts, is the
+oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -99,11 +100,13 @@ class WalkModel:
 
     @classmethod
     def double_large(cls, p: Fraction | None = None) -> WalkModel:
-        return cls(ModelKind.DOUBLE_LARGE, Fraction(1, 3) if p is None else p)
+        kind = ModelKind.DOUBLE_LARGE
+        return cls(kind, BALANCED_RED[kind] if p is None else p)
 
     @classmethod
     def double_small(cls, p: Fraction | None = None) -> WalkModel:
-        return cls(ModelKind.DOUBLE_SMALL, Fraction(2, 3) if p is None else p)
+        kind = ModelKind.DOUBLE_SMALL
+        return cls(kind, BALANCED_RED[kind] if p is None else p)
 
     @property
     def q(self) -> Fraction:
@@ -178,9 +181,10 @@ def successor_slots(
 def dp_numerators(
     model: WalkModel, first: int, last: int
 ) -> Iterator[tuple[int, int, list[tuple[State, int]]]]:
-    """Yield (n, b**n, row) for steps first..last, for p = a/b.
+    """Yield (n, b**denominator_power(model, n), row) for steps first..last,
+    for p = a/b.
 
-    ``row`` holds (state, m) for each state whose mass m / b**n at step n
+    ``row`` holds (state, m) for each state whose mass m / b**e at step n
     is nonzero, in support order: numbered states ascending, then BETA.
     Only the current step's numerators are held, and step n walks only the
     slots reachable at step n - 1.
@@ -189,17 +193,24 @@ def dp_numerators(
         raise ValueError("step count must be non-negative")
     states, red, black = successor_slots(model, last)
     numbered = states[1:]
+    base = model.p.denominator
     red_weight = model.p.numerator
-    black_weight = model.p.denominator - red_weight
+    black_weight = base - red_weight
     masses = [0, 1]  # BETA, then state 0: the walk starts at 0
     den = 1
     for n in range(last + 1):
         if n:
-            den *= model.p.denominator
             nxt = [0] * (frontier(model, n) + 2)
             for mass, up, down in compress(zip(masses, red, black), masses):
                 nxt[up] += red_weight * mass
                 nxt[down] += black_weight * mass
+            # ``denominator_power`` grows by one at every step after the
+            # first; where the first step does not grow it, b divides the
+            # new masses.
+            if n == 1 and denominator_power(model, 1) == 0:
+                nxt = [mass // base for mass in nxt]
+            else:
+                den *= base
             masses = nxt
         if n >= first:
             tail = masses[1:]

@@ -127,51 +127,6 @@ class EmpiricalDistribution:
         return Fraction(self.count(state), self.trials)
 
 
-class _Blocks:
-    """The arrays of one ``simulate`` call, reused by each of its blocks.
-
-    ``lane[j]`` is seed + (j+1) g, so trial ``first + j`` starts from
-    mix64(lane[j] + first g).  Positions share the dtype of ``table``,
-    the smallest unsigned one that holds them; its entries are even, so
-    a position plus the red bit fits too.  ``index`` is ``np.intp``,
-    so ``take`` converts nothing.  ``mode="clip"`` only skips the
-    bounds check, since a walk of ``steps`` steps never looks past the
-    table.
-    """
-
-    def __init__(self, table: np.ndarray, start: int, threshold: np.uint64, seed: int,
-                 steps: int, size: int):
-        import numpy as np
-
-        self.table, self.start, self.threshold, self.steps = table, start, threshold, steps
-        self.lane = np.arange(1, size + 1, dtype=np.uint64)
-        self.lane *= np.uint64(GOLDEN)
-        self.lane += np.uint64(seed & _MASK)
-        self.base, self.scratch, self.r = (np.empty(size, np.uint64) for _ in range(3))
-        self.red = np.empty(size, bool)
-        self.pos = np.empty(size, table.dtype)
-        self.index = np.empty(size, np.intp)
-
-    def counts(self, first: int, trials: int) -> np.ndarray:
-        """Final-slot counts of trials ``first`` to ``first + trials - 1``."""
-        import numpy as np
-
-        base, scratch, r, red, pos, index = (
-            a[:trials] for a in (self.base, self.scratch, self.r, self.red, self.pos, self.index)
-        )
-        np.add(self.lane[:trials], np.uint64(first * GOLDEN & _MASK), out=base)
-        _mix64_inplace(base, scratch)
-        pos.fill(self.start)
-        for k in range(self.steps):
-            np.add(base, np.uint64((k + 1) * GOLDEN & _MASK), out=r)
-            _mix64_inplace(r, scratch)
-            np.less(r, self.threshold, out=red)
-            np.add(pos, red, out=index)
-            self.table.take(index, out=pos, mode="clip")
-        np.right_shift(pos, 1, out=index)
-        return np.bincount(index, minlength=len(self.table) >> 1)
-
-
 def simulate(config: SimConfig) -> EmpiricalDistribution:
     """Run all trials and tally final states.
 
@@ -181,6 +136,15 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     that table at the position plus the red bit.  The blocks' integer
     counts are summed, so the tally is the same for any block size.
     numpy is imported here, so commands that never simulate skip it.
+
+    The arrays are allocated once and each block writes into their first
+    ``trials`` entries.  ``lane[j]`` is seed + (j+1) g, so trial
+    ``first + j`` starts from mix64(lane[j] + first g).  Positions share
+    the dtype of ``table``, the smallest unsigned one that holds them; its
+    entries are even, so a position plus the red bit fits too.  ``index``
+    is ``np.intp``, so ``take`` converts nothing.  ``mode="clip"`` only
+    skips the bounds check, since a walk of ``steps`` steps never looks
+    past the table.
     """
     import numpy as np
 
@@ -188,16 +152,33 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
         raise ValueError("trials must be positive")
     if config.steps < 0:
         raise ValueError("steps must be non-negative")
-    states, table = successor_table(config.model, config.steps)
-    blocks = _Blocks(
-        np.array(table, dtype=np.min_scalar_type(max(table))), 2 * states.index(0),
-        np.uint64(red_threshold(config.model.p)), config.seed, config.steps,
-        min(BLOCK, config.trials),
+    states, slots = successor_table(config.model, config.steps)
+    table = np.array(slots, dtype=np.min_scalar_type(max(slots)))
+    start = 2 * states.index(0)
+    threshold = np.uint64(red_threshold(config.model.p))
+    size = min(BLOCK, config.trials)
+    lane = np.arange(1, size + 1, dtype=np.uint64)
+    lane *= np.uint64(GOLDEN)
+    lane += np.uint64(config.seed & _MASK)
+    arrays = (
+        *(np.empty(size, np.uint64) for _ in range(3)),
+        np.empty(size, bool), np.empty(size, table.dtype), np.empty(size, np.intp),
     )
-    counts = sum(
-        blocks.counts(first, min(BLOCK, config.trials - first))
-        for first in range(0, config.trials, BLOCK)
-    )
+    counts = 0
+    for first in range(0, config.trials, BLOCK):
+        trials = min(BLOCK, config.trials - first)
+        base, scratch, r, red, pos, index = (a[:trials] for a in arrays)
+        np.add(lane[:trials], np.uint64(first * GOLDEN & _MASK), out=base)
+        _mix64_inplace(base, scratch)
+        pos.fill(start)
+        for k in range(config.steps):
+            np.add(base, np.uint64((k + 1) * GOLDEN & _MASK), out=r)
+            _mix64_inplace(r, scratch)
+            np.less(r, threshold, out=red)
+            np.add(pos, red, out=index)
+            table.take(index, out=pos, mode="clip")
+        np.right_shift(pos, 1, out=index)
+        counts += np.bincount(index, minlength=len(table) >> 1)
     tally = {states[slot]: count for slot, count in enumerate(counts.tolist()) if count}
     return EmpiricalDistribution(config.steps, config.trials, config.seed, tally)
 

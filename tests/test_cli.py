@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import knoedel
-from knoedel import cli, closedforms
+from knoedel import cli, closedforms, verification
 from knoedel.cli import _emit, decimal_string, main
 from knoedel.models import WalkModel, dp_numerators, dp_table, state_sort_key
 
@@ -224,34 +224,31 @@ def test_table_json_output(capsys):
     assert [(r["state"], r["num"], r["den"]) for r in final] == [("0", 5, 9), ("3", 4, 9)]
 
 
-def test_table_respects_step_cap(capsys, monkeypatch):
-    """``table`` and ``simulate --steps`` share the cap."""
+def test_table_respects_step_cap(capsys):
+    """``table`` and ``simulate --steps`` share the cap of 200."""
     for command in (["table"], ["simulate", "--trials", "10"]):
-        monkeypatch.setenv("KNOEDEL_MAX_STEPS", "4")
-        code, out, err = run_cli(capsys, *command, "--model", "double-large", "--steps", "5")
+        code, out, err = run_cli(capsys, *command, "--model", "double-large", "--steps", "201")
         assert code == 2 and out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "safety cap 4" in err
-        monkeypatch.setenv("KNOEDEL_MAX_STEPS", "210")
-        code, out, err = run_cli(capsys, *command, "--model", "double-small", "--steps", "205")
-        assert code == 0
-        assert out.splitlines()[-1].startswith("double-small,205,")
+        assert err == "error: steps 201 exceeds the safety cap 200\n"
+        code, out, err = run_cli(capsys, *command, "--model", "double-small", "--steps", "200")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].startswith("double-small,200,")
 
 
-def test_table_rejects_bad_cap_value(capsys, monkeypatch):
-    monkeypatch.setenv("KNOEDEL_MAX_STEPS", "many")
-    code, _, err = run_cli(capsys, "table", "--model", "double-large", "--steps", "1")
-    assert code == 2
-    assert "KNOEDEL_MAX_STEPS" in err
+def test_step_cap_ignores_the_environment(capsys, monkeypatch):
+    """``KNOEDEL_MAX_STEPS``, which once moved the cap, no longer does."""
+    monkeypatch.setenv("KNOEDEL_MAX_STEPS", "1000")
+    code, out, err = run_cli(capsys, "table", "--model", "double-large", "--steps", "201")
+    assert code == 2 and out == ""
+    assert err == "error: steps 201 exceeds the safety cap 200\n"
 
 
 DP_COEFF = ["coeff", "--model", "double-large", "--state", "0", "--source", "dp"]
 
 
-def test_coeff_dp_respects_its_own_step_cap(capsys, monkeypatch):
-    """``coeff --source dp`` is capped at 1000 steps; ``KNOEDEL_MAX_STEPS``
-    does not move that cap, and the closed form's own cap is higher."""
-    monkeypatch.setenv("KNOEDEL_MAX_STEPS", "2")
+def test_coeff_dp_respects_its_own_step_cap(capsys):
+    """``coeff --source dp`` is capped at 1000 steps, not at the 200 of
+    ``table``, and the closed form's own cap is higher."""
     code, out, err = run_cli(capsys, *DP_COEFF, "--steps", "1001")
     assert code == 2 and out == ""
     assert err == "error: steps 1001 exceeds the safety cap 1000\n"
@@ -641,6 +638,88 @@ def test_error_lines_quote_a_short_prefix(capsys):
                              "--state", "x" * 5000)
     assert code == 2 and out == ""
     assert err == f"error: invalid state {'x' * 40!r}...\n"
+
+
+# Values on both sides of every step cap, and --p spellings around the
+# int-to-string limit and far past it, valid and not.
+FUZZ_STEPS = st.sampled_from([-1, 0, 1, 2, 3, 200, 201, 1000, 1001, 15000, 15001])
+FUZZ_P = st.fractions(Fraction(1, 60), Fraction(59, 60), max_denominator=60).map(str) | (
+    st.sampled_from([f"1e-{k}" for k in (639, 640, 4299, 4300, 10**8, 10**30)]
+                    + ["1/1" + "0" * 4300, "0", "1", "7/3", "-1/2", "1/0", "1e", "nan", "p"])
+)
+
+
+def fuzz_trials(steps):
+    """Small trial counts, and counts just past ``TRIAL_DRAW_CAP`` draws at
+    ``steps`` steps or far past it: none that would really simulate long."""
+    return (
+        st.sampled_from([-1, 0, 1, 2, 50])
+        | st.integers(1, 3).map(lambda k: cli.TRIAL_DRAW_CAP // max(steps, 1) + k)
+        | st.integers(10**9, 10**30)
+    )
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["table", "coeff", "simulate", "series", "verify"]))
+    argv = [command]
+
+    def option(flag, values, required=False):
+        if required or draw(st.booleans()):
+            value = draw(values)
+            argv.extend([flag, str(value)])
+            return value
+
+    if command == "verify":
+        option("--order", st.sampled_from([1, 2, 3, 200, 201]))
+        option("--max-steps", FUZZ_STEPS)
+        option("--trials", fuzz_trials(verification.SIMULATION_STEPS), required=True)
+        option("--seed", st.integers(-1, 2**64))
+        return argv
+    if command == "series":
+        option("--which", st.sampled_from([*cli.SERIES_TOKENS, "u2"]), required=True)
+        option("--order", st.sampled_from([0, 1, 2, 200, 201]), required=True)
+    else:
+        option("--model", st.sampled_from(["double-large", "double-small"]), required=True)
+        option("--p", FUZZ_P)
+        steps = option("--steps", FUZZ_STEPS, required=True)
+    if command == "coeff":
+        option("--state", st.sampled_from(["0", "1", "2", "3", "beta", "15001", "x"]),
+               required=True)
+        option("--source", st.sampled_from(["dp", "closed-form"]))
+    if command == "simulate":
+        option("--trials", fuzz_trials(steps), required=True)
+        option("--seed", st.integers(-1, 2**64))
+    option("--format", st.sampled_from(["csv", "json"]))
+    option("--digits", st.sampled_from([-1, 0, 1, 12, 4300, 4301]))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzz_argv())
+def test_any_argv_answers_or_refuses_in_one_line(argv):
+    """Every run exits 0, 1 or 2 within a few seconds, without a
+    traceback; 1 comes only from ``verify``, and a refusal past argparse
+    is one ``error:`` line on stderr and nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with int_str_limit(4300), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("argparse", exc.code)
+    elapsed = time.perf_counter() - start
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < 10, f"{elapsed:.1f} s"
+    if code == ("argparse", 2):
+        return
+    assert code in (0, 1, 2)
+    assert code != 1 or argv[0] == "verify"
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 # In-process calls of every kind of outcome: CSV and JSON tables, a DP

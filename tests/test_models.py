@@ -12,6 +12,7 @@ from knoedel.models import (
     brute_force_distribution,
     denominator_power,
     dp_distribution,
+    dp_numerators,
     dp_table,
     frontier,
     parse_state,
@@ -209,12 +210,13 @@ def test_support_obeys_residue_class_and_frontier():
 @pytest.mark.parametrize("kind", ["double_large", "double_small"])
 def test_largest_denominator_is_a_power_of_p_denominator(kind, p):
     """b**denominator_power is the largest reduced denominator at every
-    step, and the frontier state carries p**denominator_power."""
+    step, the denominator ``dp_numerators`` yields, and the frontier state
+    carries p**denominator_power."""
     model = getattr(WalkModel, kind)(p)
-    for row in dp_table(model, 40):
+    for row, (_, den, _) in zip(dp_table(model, 40), dp_numerators(model, 0, 40)):
         power = denominator_power(model, row.step)
         largest = max(mass.denominator for mass in row.probabilities.values())
-        assert largest == model.p.denominator**power, row.step
+        assert largest == den == model.p.denominator**power, row.step
         assert row.prob(frontier(model, row.step)) == model.p**power, row.step
 
 
