@@ -39,8 +39,10 @@ p's denominator: the largest denominator at step n is a known power of
 it (``models.denominator_power``) that never shrinks as n grows.  Every
 size refusal asks one question, ``_too_long``: does base**power have
 more than a given number of digits.  ``--digits`` above the same limit
-is a usage error, and so is a ``--p`` whose exponent reaches it.  An
-error line quotes at most the first 40 characters of an argument.
+is a usage error, and so is a ``--p`` whose exponent reaches it.  With
+the limit switched off (0), its default, 4300 digits, stands in
+(``_digit_limit``), so no budget goes away.  An error line quotes at
+most the first 40 characters of an argument.
 The argument parser is built once per process.
 ``python -m knoedel`` runs the same ``main``.
 """
@@ -140,14 +142,17 @@ def _check_trials(trials: int, steps: int) -> None:
         )
 
 
+def _digit_limit() -> int:
+    """Python's integer-to-string limit, or its default where the limit
+    is switched off (0), so every size budget holds either way."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def _too_long(base: int, power: int, digits: int) -> bool:
-    """Whether base**power has more than ``digits`` digits; never for
-    ``digits`` 0, Python's integer-to-string limit switched off.  The
-    bit-length test answers for a power far past ``digits`` without
-    building it."""
-    return bool(digits) and (
-        (base.bit_length() - 1) * power > 4 * digits or base**power >= 10**digits
-    )
+    """Whether base**power has more than ``digits`` digits, for
+    ``digits`` at least 1.  The bit-length test answers for a power far
+    past ``digits`` without building it."""
+    return (base.bit_length() - 1) * power > 4 * digits or base**power >= 10**digits
 
 
 def _check_steps(steps: int, name: str, cap: int) -> None:
@@ -167,10 +172,10 @@ def _parse_probability(text: str) -> Fraction:
     Python's integer-to-string limit is refused before ``Fraction`` builds
     that power (10**100000000 does not finish in 100 s), as the same
     number written out in digits is refused by ``int``."""
-    limit = sys.get_int_max_str_digits()
+    limit = _digit_limit()
     match = _EXPONENT.search(text)
     try:
-        if limit and match and abs(int(match.group(1))) >= limit:
+        if match and abs(int(match.group(1))) >= limit:
             raise UsageError(
                 f"the exponent of --p must be below {limit} in magnitude: 10**{limit} "
                 "is past Python's limit for integer-to-string conversion"
@@ -193,7 +198,7 @@ def _model_from(args: argparse.Namespace) -> WalkModel:
 def _check_printable(base: int, power: int, steps: int) -> None:
     """Refuse a value at ``steps`` steps whose denominator, its longest
     part, is base**power with more digits than Python will print."""
-    limit = sys.get_int_max_str_digits()
+    limit = _digit_limit()
     if _too_long(base, power, limit):
         raise UsageError(
             f"the exact value at {steps} steps has more than {limit} digits, "
@@ -442,10 +447,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "digits" in args:
             # The num and den columns obey the same limit.
-            limit = sys.get_int_max_str_digits()
+            limit = _digit_limit()
             if args.digits < 1:
                 raise UsageError("digits must be at least 1")
-            if limit and args.digits > limit:
+            if args.digits > limit:
                 raise UsageError(
                     f"digits must be at most {limit}, "
                     "Python's limit for integer-to-string conversion"

@@ -11,11 +11,12 @@ are exact.  The three building blocks are
   cross multiplication and expandable into a ``TruncatedSeries``; it has
   no arithmetic of its own.
 
-Series and polynomials share one ring skeleton, ``_Ring``: subtraction
-and non-negative powers are written once there, from each class's
-``_lift``, ``+``, unary ``-`` and ``*``.  Substitution has one Horner
-loop, ``Polynomial.__call__``, which ``TruncatedSeries.compose`` and
-``RationalFunction.expand`` both go through.
+Series and polynomials share one ring skeleton, ``_Ring``: the
+coefficient tuple, negation, subtraction and non-negative powers are
+written once there, from each class's constructor, ``_lift``, ``+`` and
+``*``.  Substitution has one Horner loop, ``Polynomial.__call__``, which
+``TruncatedSeries.compose`` and ``RationalFunction.expand`` both go
+through.
 
 Products run on integers: ``_convolve`` drops each operand's trailing
 zeros, scales it to integer numerators over the LCM of its denominators,
@@ -107,11 +108,19 @@ def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], length: int) -> list
 
 
 class _Ring:
-    """Subtraction and powers, built from a subclass's ``_lift``, ``+``,
-    unary ``-`` and ``*``.  ``_lift`` turns a scalar (or a coarser ring
-    element) into the subclass, or returns None for a foreign type."""
+    """The coefficient tuple, negation, subtraction and powers, built from
+    a subclass's constructor, ``_lift``, ``+`` and ``*``.  ``_lift`` turns
+    a scalar (or a coarser ring element) into the subclass, or returns
+    None for a foreign type."""
 
-    __slots__ = ()
+    __slots__ = ("_coeffs",)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return self._coeffs
+
+    def __neg__(self):
+        return type(self)([-c for c in self._coeffs])
 
     def __sub__(self, other: object):
         rhs = self._lift(other)
@@ -143,7 +152,7 @@ class _Ring:
 class TruncatedSeries(_Ring):
     """Formal power series truncated to a fixed number of coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
         vals = [_as_fraction(c) for c in coeffs]
@@ -164,10 +173,6 @@ class TruncatedSeries(_Ring):
     @property
     def order(self) -> int:
         return len(self._coeffs)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of t^k.  Asking beyond the truncation order is a bug."""
@@ -190,9 +195,6 @@ class TruncatedSeries(_Ring):
         return TruncatedSeries([self._coeffs[k] + rhs._coeffs[k] for k in range(n)])
 
     __radd__ = __add__
-
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries([-c for c in self._coeffs])
 
     def __mul__(self, other: object) -> TruncatedSeries:
         rhs = self._lift(other)
@@ -257,9 +259,6 @@ class TruncatedSeries(_Ring):
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self._coeffs[:6])
         tail = ", ..." if len(self._coeffs) > 6 else ""
@@ -269,7 +268,7 @@ class TruncatedSeries(_Ring):
 class Polynomial(_Ring):
     """Dense polynomial over Fraction, indexed by ascending powers."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         vals = [_as_fraction(c) for c in coeffs]
@@ -280,10 +279,6 @@ class Polynomial(_Ring):
     @classmethod
     def x(cls) -> Polynomial:
         return cls([0, 1])
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -316,9 +311,6 @@ class Polynomial(_Ring):
 
     __radd__ = __add__
 
-    def __neg__(self) -> Polynomial:
-        return Polynomial([-c for c in self._coeffs])
-
     def __mul__(self, other: object) -> Polynomial:
         rhs = self._lift(other)
         if rhs is None:
@@ -335,9 +327,6 @@ class Polynomial(_Ring):
         if rhs is None:
             return NotImplemented
         return self._coeffs == rhs._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self._coeffs)!r})"

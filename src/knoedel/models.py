@@ -22,8 +22,9 @@ Each walk starts at 0.  Because every productive move changes the box
 count by +2/-1 (or +1/-2), the support of the step-n distribution lives
 in a single residue class mod 3; ``residue_class`` returns it.
 
-The moves are written once, in ``step``; the forward dynamic program
-(``dp_numerators``) runs on successor tables read off it.  For p = a/b it
+The moves are written once, in ``step``; ``successor_table`` reads one
+table of slots off it, which both the forward dynamic program
+(``dp_numerators``) and the simulation run on.  For p = a/b the DP
 carries integer numerators over b^e, e = ``denominator_power``, the red
 edge weighing a and the black edge b - a, and yields each step's nonzero
 numerators in support order.  ``dp_table`` and ``dp_distribution`` form
@@ -156,26 +157,22 @@ class StepDistribution:
         return sum(self.probabilities.values(), _ZERO)
 
 
-def successor_slots(
-    model: WalkModel, steps: int
-) -> tuple[list[State], list[int], list[int]]:
-    """Slot states and their red and black successor slots, read off ``step``.
+def successor_table(model: WalkModel, steps: int) -> tuple[list[State], list[int]]:
+    """Slot states and their successor table, read off ``step``.
 
     The slots hold BETA and then every numbered state the walk can reach
-    in ``steps`` steps, so numbered state i sits in slot i + 1.  Successors
-    of the states first reached at step ``steps`` may lie past the last
-    slot; a walk of ``steps`` steps never moves from those states.
+    in ``steps`` steps, so numbered state i sits in slot i + 1.  Entry
+    2 * slot + red of the table is the slot that the state in ``slot``
+    moves to on that draw.  Successors of the states first reached at
+    step ``steps`` may lie past the last slot; a walk of ``steps`` steps
+    never moves from those states.
     """
     states = [BETA, *range(frontier(model, steps) + 1)]
-
-    def slot(state: State) -> int:
-        return 0 if isinstance(state, _BetaState) else state + 1
-
-    return (
-        states,
-        [slot(model.step(state, True)) for state in states],
-        [slot(model.step(state, False)) for state in states],
-    )
+    return states, [
+        0 if isinstance(nxt, _BetaState) else nxt + 1
+        for state in states
+        for nxt in (model.step(state, False), model.step(state, True))
+    ]
 
 
 def dp_numerators(
@@ -191,8 +188,9 @@ def dp_numerators(
     """
     if last < 0:
         raise ValueError("step count must be non-negative")
-    states, red, black = successor_slots(model, last)
+    states, table = successor_table(model, last)
     numbered = states[1:]
+    black, red = table[0::2], table[1::2]
     base = model.p.denominator
     red_weight = model.p.numerator
     black_weight = base - red_weight

@@ -34,13 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .models import (
-    State,
-    StepDistribution,
-    WalkModel,
-    state_sort_key,
-    successor_slots,
-)
+from .models import State, StepDistribution, WalkModel, state_sort_key, successor_table
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -87,20 +81,6 @@ def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> None:
     z ^= scratch
 
 
-def successor_table(model: WalkModel, steps: int) -> tuple[list[State], list[int]]:
-    """Slot states and the interleaved successor table of ``successor_slots``.
-
-    Entry 2 * slot holds 2 * (black successor slot) and entry 2 * slot + 1
-    holds 2 * (red successor slot), so a trial at even position ``pos``
-    moves to ``table[pos + red]`` and sits in slot ``pos >> 1``.
-    """
-    states, red, black = successor_slots(model, steps)
-    table = [0] * (2 * len(states))
-    table[0::2] = [2 * slot for slot in black]
-    table[1::2] = [2 * slot for slot in red]
-    return states, table
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation request."""
@@ -131,9 +111,10 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     """Run all trials and tally final states.
 
     Trials run ``BLOCK`` at a time with numpy; the per-draw semantics
-    match ``splitmix_draw`` bit for bit.  A trial holds its position in
-    ``successor_table``, twice its slot, and each step is one lookup into
-    that table at the position plus the red bit.  The blocks' integer
+    match ``splitmix_draw`` bit for bit.  The slots of
+    ``models.successor_table`` become positions, twice each slot, so a
+    trial at position 2 * slot takes each step as one lookup into that
+    table at the position plus the red bit.  The blocks' integer
     counts are summed, so the tally is the same for any block size.
     numpy is imported here, so commands that never simulate skip it.
 
@@ -153,7 +134,7 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     if config.steps < 0:
         raise ValueError("steps must be non-negative")
     states, slots = successor_table(config.model, config.steps)
-    table = np.array(slots, dtype=np.min_scalar_type(max(slots)))
+    table = 2 * np.array(slots, dtype=np.min_scalar_type(2 * max(slots)))
     start = 2 * states.index(0)
     threshold = np.uint64(red_threshold(config.model.p))
     size = min(BLOCK, config.trials)

@@ -461,6 +461,30 @@ print(code, time.perf_counter() - start)
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
+# Inputs whose size checks all rest on Python's integer-to-string limit.
+# When a limit of 0 switched the checks off, each of the first three ran
+# past 20 s and the last wrote 100 MB.
+LIMIT_OFF_REFUSALS = {
+    "table": ["table", "--model", "double-large", "--steps", "200", "--p", "1e-3000"],
+    "simulate": ["simulate", "--model", "double-large", "--steps", "200", "--trials", "1",
+                 "--p", "1e-3000"],
+    "p-exponent": ["table", "--model", "double-small", "--steps", "3", "--p", "1e-100000000"],
+    "digits": ["series", "--which", "t", "--order", "2", "--digits", "100000000"],
+}
+
+
+@pytest.mark.parametrize("argv", LIMIT_OFF_REFUSALS.values(), ids=LIMIT_OFF_REFUSALS.keys())
+def test_limit_switched_off_keeps_every_size_budget(monkeypatch, argv):
+    """With ``PYTHONINTMAXSTRDIGITS=0`` the default limit stands in."""
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "0")
+    start = time.perf_counter()
+    result = run_python("-m", "knoedel", *argv, timeout=20)
+    assert time.perf_counter() - start < 5
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "4300" in result.stderr
+
+
 def test_series_tokens(capsys):
     code, out, _ = run_cli(capsys, "series", "--which", "inv1mt", "--order", "2")
     assert code == 0
@@ -696,14 +720,15 @@ def fuzz_argv(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(fuzz_argv())
-def test_any_argv_answers_or_refuses_in_one_line(argv):
+@given(fuzz_argv(), st.sampled_from([4300, 0]))
+def test_any_argv_answers_or_refuses_in_one_line(argv, limit):
     """Every run exits 0, 1 or 2 within a few seconds, without a
-    traceback; 1 comes only from ``verify``, and a refusal past argparse
-    is one ``error:`` line on stderr and nothing on stdout."""
+    traceback, at the default integer-to-string limit and with the limit
+    switched off; 1 comes only from ``verify``, and a refusal past
+    argparse is one ``error:`` line on stderr and nothing on stdout."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
-    with int_str_limit(4300), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with int_str_limit(limit), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:

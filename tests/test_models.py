@@ -1,11 +1,13 @@
 """Tests for the walk models, their DP and the brute-force oracle."""
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knoedel import verification
 from knoedel.models import (
     BETA,
     WalkModel,
@@ -23,6 +25,14 @@ from knoedel.models import (
 probabilities = st.fractions(
     min_value=Fraction(1, 50), max_value=Fraction(49, 50), max_denominator=50
 )
+
+
+def assert_passes_on(walks, suite, *args):
+    """Run ``suite`` on ``walks`` in place of the balanced walks; it must
+    make checks and pass them all."""
+    with patch.object(verification, "_both_models", lambda: walks):
+        result = suite(*args)
+    assert result.checks and result.passed, result.failures[:5]
 
 
 def test_double_large_step():
@@ -99,11 +109,11 @@ def test_dp_distribution_returns_requested_step():
                 assert dp_distribution(model, n) == dp_table(model, n)[-1]
 
 
-def test_brute_force_agrees_for_unbalanced_probability():
-    for model in (WalkModel.double_large(Fraction(2, 5)), WalkModel.double_small(Fraction(2, 7))):
-        assert brute_force_distribution(model, 7).probabilities == dp_distribution(
-            model, 7
-        ).probabilities
+@given(probabilities)
+@settings(max_examples=25)
+def test_brute_force_agrees_for_unbalanced_probability(p):
+    walks = [WalkModel.double_large(p), WalkModel.double_small(p)]
+    assert_passes_on(walks, verification.oracle_equivalence_suite, 7)
 
 
 def mask_replay_distribution(model, steps):
@@ -144,10 +154,12 @@ def test_negative_steps_rejected():
 @given(probabilities)
 @settings(max_examples=40)
 def test_rows_are_distributions_for_any_probability(p):
-    """Every DP row sums to one regardless of the red probability."""
-    for model in (WalkModel.double_large(p), WalkModel.double_small(p)):
+    """Every DP row sums to one and keeps its residue class and frontier
+    regardless of the red probability, and stores no zero mass."""
+    walks = [WalkModel.double_large(p), WalkModel.double_small(p)]
+    assert_passes_on(walks, verification.normalization_and_support_suite, 8)
+    for model in walks:
         for row in dp_table(model, 8):
-            assert row.total() == 1
             assert all(mass > 0 for mass in row.probabilities.values())
 
 
@@ -155,31 +167,15 @@ def test_rows_are_distributions_for_any_probability(p):
 @settings(max_examples=25)
 def test_double_large_recursion_for_any_probability(p):
     """Mass at step n satisfies the incoming-edge equations of the model."""
-    model = WalkModel.double_large(p)
-    q = model.q
-    rows = dp_table(model, 7)
-    for n in range(1, 8):
-        prev, cur = rows[n - 1], rows[n]
-        assert cur.prob(0) == q * prev.prob(1)
-        assert cur.prob(BETA) == q * prev.prob(0)
-        assert cur.prob(1) == prev.prob(BETA) + q * prev.prob(2)
-        for i in range(2, 2 * n + 1):
-            assert cur.prob(i) == p * prev.prob(i - 2) + q * prev.prob(i + 1)
+    walks = [WalkModel.double_large(p)]
+    assert_passes_on(walks, verification.recursion_fidelity_suite, 7)
 
 
 @given(probabilities)
 @settings(max_examples=25)
 def test_double_small_recursion_for_any_probability(p):
-    model = WalkModel.double_small(p)
-    q = model.q
-    rows = dp_table(model, 7)
-    for n in range(1, 8):
-        prev, cur = rows[n - 1], rows[n]
-        assert cur.prob(0) == prev.prob(BETA) + q * prev.prob(2)
-        assert cur.prob(BETA) == q * prev.prob(1)
-        assert cur.prob(1) == prev.prob(0) + q * prev.prob(3)
-        for i in range(2, n + 1):
-            assert cur.prob(i) == p * prev.prob(i - 1) + q * prev.prob(i + 2)
+    walks = [WalkModel.double_small(p)]
+    assert_passes_on(walks, verification.recursion_fidelity_suite, 7)
 
 
 def test_residue_class_values():

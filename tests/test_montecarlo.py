@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from knoedel import montecarlo
-from knoedel.models import BETA, StepDistribution, WalkModel, dp_distribution, successor_slots
+from knoedel.models import BETA, StepDistribution, WalkModel, dp_distribution, successor_table
 from knoedel.montecarlo import (
     EmpiricalDistribution,
     SimConfig,
@@ -15,7 +15,6 @@ from knoedel.montecarlo import (
     red_threshold,
     simulate,
     splitmix_draw,
-    successor_table,
 )
 
 
@@ -76,7 +75,7 @@ def test_simulate_matches_scalar_replay_past_255_positions():
     """From 63 steps on the walks' tables need uint16 positions."""
     for model in (WalkModel.double_large(), WalkModel.double_small(Fraction(4, 5))):
         _, table = successor_table(model, 130)
-        assert max(table) > 255
+        assert 2 * max(table) > 255
         config = SimConfig(model, steps=130, trials=40, seed=77)
         assert simulate(config).counts == replay(config)[0]
 
@@ -97,16 +96,17 @@ def test_simulate_does_not_depend_on_block_size(monkeypatch, model):
 @pytest.mark.parametrize("model", [WalkModel.double_large(), WalkModel.double_small()],
                          ids=lambda model: model.name)
 def test_successor_table_interleaves_successor_slots(model):
+    """Entry 2 * slot + red is the slot of ``step`` from the slot's state."""
     for steps in (0, 1, 2, 9):
-        states, red, black = successor_slots(model, steps)
-        table_states, table = successor_table(model, steps)
-        assert table_states == states
+        states, table = successor_table(model, steps)
+        assert states == [BETA, *range(len(states) - 1)]
         assert len(table) == 2 * len(states)
-        for slot in range(len(states)):
-            assert table[2 * slot] == 2 * black[slot]
-            assert table[2 * slot + 1] == 2 * red[slot]
+        for slot, state in enumerate(states):
+            for red in (False, True):
+                nxt = model.step(state, red)
+                assert table[2 * slot + red] == (0 if nxt is BETA else nxt + 1)
         # The states first reached at the last step move past the last slot.
-        assert max(table) >= 2 * len(states)
+        assert max(table) >= len(states)
 
 
 def test_simulate_memory_does_not_grow_with_trials():
