@@ -24,25 +24,25 @@ cap is a constant.  ``table --steps``, ``simulate --steps`` and ``verify
 a cap of its own, 1000, and ``coeff --source closed-form --steps``
 another, 15000, which applies only to states that can carry mass: a
 state off its residue class or beyond the walk's frontier is an exact 0
-at any step count and is answered at once.  ``coeff --source dp`` also
-refuses, before the DP, a walk whose largest denominator at that step,
-b**denominator_power for p = a/b, has more than ``DP_DIGIT_CAP`` digits,
-4000.  ``series --order`` and
+at any step count and is answered at once.  ``series --order`` and
 ``verify --order`` are capped at 200.  ``simulate --trials`` and
 ``verify --trials`` must be positive, and trials times steps (counted
 as at least one) may not pass ``TRIAL_DRAW_CAP``, 10**8 draws per
 simulation; ``verify`` counts the steps of its simulation suite.  Both
-checks run before numpy is imported.  An exact value with more digits
-than Python's integer-to-string limit is a usage error too.  ``table``
-and ``simulate`` decide that before any DP or simulation runs, from
-p's denominator: the largest denominator at step n is a known power of
-it (``models.denominator_power``) that never shrinks as n grows.  Every
-size refusal asks one question, ``_too_long``: does base**power have
-more than a given number of digits.  ``--digits`` above the same limit
-is a usage error, and so is a ``--p`` whose exponent reaches it.  With
-the limit switched off (0), its default, 4300 digits, stands in
-(``_digit_limit``), so no budget goes away.  An error line quotes at
-most the first 40 characters of an argument.
+checks run before numpy is imported.  Every size check reads one digit
+budget, ``_digit_limit``: Python's integer-to-string limit where that is
+below its default of 4300 digits, and the default where the limit is
+raised or switched off (0), so no setting lifts a budget.  An exact
+value with more digits than the budget is a usage error.  ``table``,
+``simulate`` and ``coeff --source dp`` decide that before any DP or
+simulation runs, from p's denominator: the largest denominator at step
+n is a known power of it (``models.denominator_power``) that never
+shrinks as n grows.  ``coeff --source closed-form`` decides it after
+its sum.  Every size refusal asks one question, ``_too_long``: does
+base**power have more than a given number of digits.  ``--digits``
+above the budget is a usage error, and so is a ``--p`` whose exponent
+reaches it.  An error line quotes at most the first 40 characters of an
+argument.
 The argument parser is built once per process.
 ``python -m knoedel`` runs the same ``main``.
 """
@@ -74,10 +74,9 @@ from .models import (
 )
 
 STEP_CAP = 200
+# At this cap, a DP over denominators just inside the 4300-digit budget
+# took about 0.4 s on a 2-vCPU x86_64 VM.
 DP_STEP_CAP = 1000
-# Digits of the DP's largest denominator.  At the step cap, a DP over
-# denominators of this size took 0.4-0.8 s on a 2-vCPU x86_64 VM.
-DP_DIGIT_CAP = 4000
 # Steps of a closed-form coefficient that can be nonzero.  At the cap
 # the slowest such sum took 0.3 s on the same VM.  From about 9000 steps
 # on, a value over 3**n, less the few factors of 3 that cancel, is past
@@ -111,14 +110,9 @@ class UsageError(Exception):
 
 # One decimal context per digit count, built on first use.  Other than
 # ``prec`` a new Context takes the defaults a fresh thread starts with.
-_CONTEXTS: dict[int, Context] = {}
-
-
+@functools.cache
 def _context(digits: int) -> Context:
-    context = _CONTEXTS.get(digits)
-    if context is None:
-        context = _CONTEXTS[digits] = Context(prec=digits)
-    return context
+    return Context(prec=digits)
 
 
 def decimal_string(value: Fraction, digits: int) -> str:
@@ -143,9 +137,11 @@ def _check_trials(trials: int, steps: int) -> None:
 
 
 def _digit_limit() -> int:
-    """Python's integer-to-string limit, or its default where the limit
-    is switched off (0), so every size budget holds either way."""
-    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    """The digit budget of every size check: Python's integer-to-string
+    limit, but never more than its default, which also stands in where
+    the limit is switched off (0)."""
+    default = sys.int_info.default_max_str_digits
+    return min(sys.get_int_max_str_digits() or default, default)
 
 
 def _too_long(base: int, power: int, digits: int) -> bool:
@@ -197,7 +193,7 @@ def _model_from(args: argparse.Namespace) -> WalkModel:
 
 def _check_printable(base: int, power: int, steps: int) -> None:
     """Refuse a value at ``steps`` steps whose denominator, its longest
-    part, is base**power with more digits than Python will print."""
+    part, is base**power with more digits than the budget."""
     limit = _digit_limit()
     if _too_long(base, power, limit):
         raise UsageError(
@@ -288,11 +284,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
         raise UsageError(f"invalid state {_quoted(args.state)}")
     on_residue = residue_class(model, state) == args.steps % 3
     if args.source == "dp":
-        if _too_long(model.p.denominator, denominator_power(model, args.steps), DP_DIGIT_CAP):
-            raise UsageError(
-                f"the exact DP at {args.steps} steps works over denominators of more than "
-                f"{DP_DIGIT_CAP} digits, past its safety cap"
-            )
+        _check_printable(model.p.denominator, denominator_power(model, args.steps), args.steps)
         value = dp_distribution(model, args.steps).prob(state)
     else:
         # Off its residue class or beyond the frontier a state is an exact
@@ -303,7 +295,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
             value = closedforms.closed_form_probability(model, state, args.steps)
         except ValueError as exc:
             raise UsageError(str(exc))
-    _check_printable(value.denominator, 1, args.steps)
+        _check_printable(value.denominator, 1, args.steps)
     note = "" if on_residue else "off-residue"
     row = (
         model.name, args.steps, str(state), args.source, value.numerator,
@@ -324,23 +316,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    failed = 0
-    total_checks = 0
     for suite in results:
-        total_checks += suite.checks
         if suite.passed:
             print(f"PASS {suite.name} ({suite.checks} checks)")
         else:
-            failed += 1
             print(f"FAIL {suite.name} ({suite.checks} checks, {len(suite.failures)} failures)")
             for line in suite.failures[:5]:
                 print(f"  {line}")
             if len(suite.failures) > 5:
                 print(f"  ... and {len(suite.failures) - 5} more")
+    failed = sum(not suite.passed for suite in results)
     if failed:
         print(f"overall: FAIL ({failed} of {len(results)} suites failed)")
         return 1
-    print(f"overall: PASS ({len(results)} suites, {total_checks} checks)")
+    print(f"overall: PASS ({len(results)} suites, {sum(s.checks for s in results)} checks)")
     return 0
 
 
@@ -446,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         if "digits" in args:
-            # The num and den columns obey the same limit.
+            # The num and den columns obey the same budget.
             limit = _digit_limit()
             if args.digits < 1:
                 raise UsageError("digits must be at least 1")

@@ -298,21 +298,27 @@ def test_coeff_closed_form_answers_zeros_past_its_step_cap(capsys, model, state,
     assert out.splitlines()[1] == f"{model},{steps},{state},closed-form,0,1,0,{note}"
 
 
-def test_coeff_dp_refuses_huge_denominators_before_the_dp(capsys):
+def test_coeff_dp_refuses_huge_denominators_before_the_dp(capsys, monkeypatch):
     """The DP's largest denominator b**denominator_power may have at most
-    4000 digits: (10**8 - 1)**500 has 4000, 10**4000 has 4001, and
+    4300 digits, the budget and message of ``table`` and ``simulate``:
+    (10**8 - 1)**537 has 4296 digits and (10**8 - 1)**538 has 4304, and
     10**600000 and 10**4299000 are refused without being built (the
     second takes about 2 s to build)."""
-    code, out, err = run_cli(capsys, *DP_COEFF, "--steps", "500", "--p", "1/99999999")
-    assert code == 0 and err == ""
-    assert out.splitlines()[1] == "double-large,500,0,dp,0,1,0,off-residue"
-    for steps, p in (("500", "1e-8"), ("300", "1e-2000"), ("1000", "1e-4299")):
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, *DP_COEFF, "--steps", steps, "--p", p)
-        assert time.perf_counter() - start < 1
-        assert code == 2 and out == ""
-        assert err == (f"error: the exact DP at {steps} steps works over denominators of "
-                       "more than 4000 digits, past its safety cap\n")
+    with int_str_limit(4300):
+        code, out, err = run_cli(capsys, *DP_COEFF, "--steps", "537", "--p", "1/99999999")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].startswith("double-large,537,0,dp,")
+        def dp_distribution(model, steps):
+            raise AssertionError(f"the DP ran to {steps} steps")
+
+        monkeypatch.setattr(cli, "dp_distribution", dp_distribution)
+        for steps, p in (("538", "1/99999999"), ("300", "1e-2000"), ("1000", "1e-4299")):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *DP_COEFF, "--steps", steps, "--p", p)
+            assert time.perf_counter() - start < 1
+            assert code == 2 and out == ""
+            assert err == (f"error: the exact value at {steps} steps has more than 4300 digits, "
+                           "past Python's limit for integer-to-string conversion\n")
 
 
 def test_coeff_closed_form_beta(capsys):
@@ -463,20 +469,25 @@ print(code, time.perf_counter() - start)
 
 # Inputs whose size checks all rest on Python's integer-to-string limit.
 # When a limit of 0 switched the checks off, each of the first three ran
-# past 20 s and the last wrote 100 MB.
+# past 20 s and the fourth wrote 100 MB.  When a limit of 100000 raised
+# them, the fifth ran past 20 s and the last wrote 50 KB.
 LIMIT_OFF_REFUSALS = {
     "table": ["table", "--model", "double-large", "--steps", "200", "--p", "1e-3000"],
     "simulate": ["simulate", "--model", "double-large", "--steps", "200", "--trials", "1",
                  "--p", "1e-3000"],
     "p-exponent": ["table", "--model", "double-small", "--steps", "3", "--p", "1e-100000000"],
     "digits": ["series", "--which", "t", "--order", "2", "--digits", "100000000"],
+    "table-mid-p": ["table", "--model", "double-large", "--steps", "100", "--p", "1e-400"],
+    "mid-digits": ["series", "--which", "t", "--order", "2", "--digits", "50000"],
 }
 
 
+@pytest.mark.parametrize("setting", ["0", "100000"], ids=["off", "raised"])
 @pytest.mark.parametrize("argv", LIMIT_OFF_REFUSALS.values(), ids=LIMIT_OFF_REFUSALS.keys())
-def test_limit_switched_off_keeps_every_size_budget(monkeypatch, argv):
-    """With ``PYTHONINTMAXSTRDIGITS=0`` the default limit stands in."""
-    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "0")
+def test_limit_switched_off_keeps_every_size_budget(monkeypatch, argv, setting):
+    """With ``PYTHONINTMAXSTRDIGITS`` switched off (0) or raised past its
+    default, the default limit of 4300 digits still holds."""
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", setting)
     start = time.perf_counter()
     result = run_python("-m", "knoedel", *argv, timeout=20)
     assert time.perf_counter() - start < 5
@@ -720,11 +731,11 @@ def fuzz_argv(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(fuzz_argv(), st.sampled_from([4300, 0]))
+@given(fuzz_argv(), st.sampled_from([4300, 0, 10**5]))
 def test_any_argv_answers_or_refuses_in_one_line(argv, limit):
     """Every run exits 0, 1 or 2 within a few seconds, without a
     traceback, at the default integer-to-string limit and with the limit
-    switched off; 1 comes only from ``verify``, and a refusal past
+    switched off or raised; 1 comes only from ``verify``, and a refusal past
     argparse is one ``error:`` line on stderr and nothing on stdout."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
