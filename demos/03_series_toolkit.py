@@ -15,8 +15,8 @@ from knoedel import (
     WalkModel,
     bad_factor_root_series,
     dp_table,
-    f0_series,
-    g0_series,
+    f0_series_from_t,
+    g0_series_from_t,
     inv_one_minus_t_series,
     t_series,
     x_of_t,
@@ -50,8 +50,8 @@ def show_normalizations():
 
 def show_state_zero_series():
     print("\n=== state-0 series against the walks ===")
-    f0 = f0_series(ORDER)
-    g0 = g0_series(ORDER)
+    f0 = f0_series_from_t(ORDER)
+    g0 = g0_series_from_t(ORDER)
     large = dp_table(WalkModel.double_large(), 3 * (ORDER - 1))
     small = dp_table(WalkModel.double_small(), 3 * (ORDER - 1))
     for n_blocks in range(ORDER):

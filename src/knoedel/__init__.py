@@ -14,11 +14,13 @@ from .closedforms import (
     bad_factor_root_series,
     closed_form_probability,
     f0_series,
+    f0_series_from_t,
     f_state_coeff,
     f_u_coeff,
     fbeta_coeff,
     g0_coeff,
     g0_series,
+    g0_series_from_t,
     g_state_coeff,
     g_u_coeff,
     gbeta_coeff,
@@ -62,12 +64,14 @@ __all__ = [
     "dp_distribution",
     "dp_table",
     "f0_series",
+    "f0_series_from_t",
     "f_state_coeff",
     "f_u_coeff",
     "fbeta_coeff",
     "four_sigma_report",
     "g0_coeff",
     "g0_series",
+    "g0_series_from_t",
     "g_state_coeff",
     "g_u_coeff",
     "gbeta_coeff",

@@ -5,7 +5,10 @@ probability by DP or closed form), ``verify`` (cross-route verification
 suites), ``simulate`` (seeded Monte Carlo against exact values) and
 ``series`` (named series expansions).  Output is CSV by default or JSON
 with ``--format json``; exact values always appear as numerator and
-denominator next to a rounded decimal.
+denominator next to a rounded decimal.  Every ``series`` token is read
+off closed coefficient formulas, ``f0`` and ``g0`` too
+(``closedforms.f0_series`` and ``g0_series``); their expansions at t(x)
+are the route the verification suites check.
 
 Each printing command builds its rows as tuples under a fixed header
 and hands them to ``_emit``.  CSV goes through ``csv.writer``; JSON goes
@@ -164,17 +167,17 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def _parse_probability(text: str) -> Fraction:
-    """``Fraction(text)``, but an exponent whose power of 10 is past
-    Python's integer-to-string limit is refused before ``Fraction`` builds
-    that power (10**100000000 does not finish in 100 s), as the same
-    number written out in digits is refused by ``int``."""
+    """``Fraction(text)``, but an exponent whose power of 10 is past the
+    digit budget is refused before ``Fraction`` builds that power
+    (10**100000000 does not finish in 100 s), as the same number written
+    out in digits is refused by ``int`` at the default limit."""
     limit = _digit_limit()
     match = _EXPONENT.search(text)
     try:
         if match and abs(int(match.group(1))) >= limit:
             raise UsageError(
                 f"the exponent of --p must be below {limit} in magnitude: 10**{limit} "
-                "is past Python's limit for integer-to-string conversion"
+                f"is past the digit budget of {limit}"
             )
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -198,7 +201,7 @@ def _check_printable(base: int, power: int, steps: int) -> None:
     if _too_long(base, power, limit):
         raise UsageError(
             f"the exact value at {steps} steps has more than {limit} digits, "
-            "past Python's limit for integer-to-string conversion"
+            f"past the digit budget of {limit}"
         )
 
 
@@ -359,13 +362,10 @@ def cmd_series(args: argparse.Namespace) -> int:
     if not 1 <= args.order <= SERIES_ORDER_CAP:
         raise UsageError(f"order must be between 1 and {SERIES_ORDER_CAP}")
     series = SERIES_TOKENS[args.which](args.order)
-    rows = []
-    for k in range(series.order):
-        value = series.coeff(k)
-        rows.append((
-            args.which, k, value.numerator, value.denominator,
-            decimal_string(value, args.digits),
-        ))
+    rows = [
+        (args.which, k, value.numerator, value.denominator, decimal_string(value, args.digits))
+        for k, value in enumerate(series.coeffs)
+    ]
     _emit(rows, args.format, SERIES_HEADER)
     return 0
 
@@ -440,10 +440,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.digits < 1:
                 raise UsageError("digits must be at least 1")
             if args.digits > limit:
-                raise UsageError(
-                    f"digits must be at most {limit}, "
-                    "Python's limit for integer-to-string conversion"
-                )
+                raise UsageError(f"digits must be at most the digit budget of {limit}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

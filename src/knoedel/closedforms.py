@@ -20,8 +20,11 @@ Everything downstream of the kernel lives in these objects:
 * step probabilities of either walk at a numbered state or at BETA,
   as explicit single or double binomial sums, added up over the integers
   and divided by their power of 3 once,
-* the t-expansions of the state-0 generating functions, obtained by
-  composing a rational function of t with the reversion t(x),
+* the state-0 generating functions f0 and g0, read off their closed
+  coefficient sums (``f0_series``, ``g0_series``, which the CLI prints)
+  and, as the independent route checked against them, obtained by
+  composing a rational function of t with the reversion t(x)
+  (``f0_series_from_t``, ``g0_series_from_t``),
 * the per-state rational functions of t whose x-expansions reproduce
   the binomial-sum coefficients column by column,
 * Girard-Waring closed sums for sigma^m + tau^m and the difference
@@ -115,8 +118,19 @@ def f0_rational() -> RationalFunction:
 
 
 def f0_series(order: int) -> TruncatedSeries:
-    """x-expansion of f0; [x^N] is the probability of state 0 after 3N steps
-    of the double-large walk."""
+    """x-expansion of f0, read off its closed coefficients; [x^N] is the
+    probability of state 0 after 3N steps of the double-large walk,
+    ``f_state_coeff(3N, 0)`` = 2^(2N) C(3N+1, N) / 3^(3N).
+
+    This is what ``series --which f0`` prints.  ``f0_series_from_t`` is
+    the independent route: the tests check it against these sums at
+    order 200, and ``series_suite`` checks it against the DP."""
+    return TruncatedSeries([f_state_coeff(3 * n, 0) for n in range(order)], order)
+
+
+def f0_series_from_t(order: int) -> TruncatedSeries:
+    """f0 by composition: ``f0_rational`` expanded at ``t_series(order)``.
+    Equals ``f0_series(order)`` coefficient for coefficient."""
     return f0_rational().expand(t_series(order))
 
 
@@ -127,8 +141,19 @@ def g0_rational() -> RationalFunction:
 
 
 def g0_series(order: int) -> TruncatedSeries:
-    """x-expansion of g0; [x^N] is the probability of state 0 after 3N steps
-    of the double-small walk."""
+    """x-expansion of g0, read off its closed coefficients; [x^N] is the
+    probability of state 0 after 3N steps of the double-small walk,
+    ``g0_coeff(N)``.
+
+    This is what ``series --which g0`` prints.  ``g0_series_from_t`` is
+    the independent route: the tests check it against these sums at
+    order 200, and ``series_suite`` checks it against the DP."""
+    return TruncatedSeries([g0_coeff(n) for n in range(order)], order)
+
+
+def g0_series_from_t(order: int) -> TruncatedSeries:
+    """g0 by composition: ``g0_rational`` expanded at ``t_series(order)``.
+    Equals ``g0_series(order)`` coefficient for coefficient."""
     return g0_rational().expand(t_series(order))
 
 

@@ -165,8 +165,8 @@ def series_suite(order: int = 30) -> SuiteResult:
     blocks = min(order - 1, 10)
     large = dp_table(WalkModel.double_large(), 3 * blocks)
     small = dp_table(WalkModel.double_small(), 3 * blocks)
-    f0 = closedforms.f0_series(order)
-    g0 = closedforms.g0_series(order)
+    f0 = closedforms.f0_series_from_t(order)
+    g0 = closedforms.g0_series_from_t(order)
     for n_blocks in range(blocks + 1):
         suite.check(
             f0.coeff(n_blocks) == large[3 * n_blocks].prob(0),

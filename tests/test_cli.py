@@ -318,7 +318,7 @@ def test_coeff_dp_refuses_huge_denominators_before_the_dp(capsys, monkeypatch):
             assert time.perf_counter() - start < 1
             assert code == 2 and out == ""
             assert err == (f"error: the exact value at {steps} steps has more than 4300 digits, "
-                           "past Python's limit for integer-to-string conversion\n")
+                           "past the digit budget of 4300\n")
 
 
 def test_coeff_closed_form_beta(capsys):
@@ -513,6 +513,27 @@ def test_series_tokens(capsys):
     assert out.splitlines()[2] == "g0,1,5,9,0.555555555556"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_series_f0_g0_print_their_closed_sums_at_the_order_cap(capsys, fmt):
+    """At the order cap, ``series`` prints the bytes of rows built from
+    ``f0_series`` and ``g0_series``, which tests/test_closedforms.py checks
+    against the expansions at t(x)."""
+    order = cli.SERIES_ORDER_CAP
+    for which, series in (("f0", closedforms.f0_series), ("g0", closedforms.g0_series)):
+        rows = [
+            {"series": which, "k": k, "num": value.numerator, "den": value.denominator,
+             "decimal": decimal_string(value, 12)}
+            for k, value in enumerate(series(order).coeffs)
+        ]
+        code, out, err = run_cli(capsys, "series", "--which", which, "--order", str(order),
+                                 "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            assert out == json.dumps(rows, indent=2) + "\n"
+        else:
+            assert out == dict_writer_output(cli.SERIES_HEADER, rows)
+
+
 def test_series_order_bounds(capsys):
     code, _, err = run_cli(capsys, "series", "--which", "t", "--order", "0")
     assert code == 2 and "order" in err
@@ -543,10 +564,7 @@ def test_digits_up_to_the_int_string_limit(capsys, digits):
         assert out.splitlines()[1] == "double-large,1,2,dp,1,3,0." + "3" * 640 + ","
     else:
         assert code == 2 and out == ""
-        assert err == (
-            "error: digits must be at most 640, "
-            "Python's limit for integer-to-string conversion\n"
-        )
+        assert err == "error: digits must be at most the digit budget of 640\n"
 
 
 def test_simulate_output_and_determinism(capsys):

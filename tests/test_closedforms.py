@@ -207,6 +207,14 @@ def test_f0_and_g0_rational_shapes():
     assert cf.g0_rational().den == (1 - 3 * x) * (4 - 3 * x)
 
 
+def test_closed_sum_series_equal_the_expansions_at_the_cli_order():
+    """The CLI prints f0 and g0 off their closed sums, so the expansions at
+    t(x), the route it does not print, are checked at its full order."""
+    order = 200  # cli.SERIES_ORDER_CAP
+    assert cf.f0_series(order).coeffs == cf.f0_series_from_t(order).coeffs
+    assert cf.g0_series(order).coeffs == cf.g0_series_from_t(order).coeffs
+
+
 def test_column_zero_degenerates_to_state_zero_functions():
     assert cf.f_u_coeff(0) == cf.f0_rational()
     assert cf.g_u_coeff(0) == cf.g0_rational()
