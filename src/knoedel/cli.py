@@ -4,17 +4,24 @@ Subcommands: ``table`` (exact step distributions), ``coeff`` (one
 probability by DP or closed form), ``verify`` (cross-route verification
 suites), ``simulate`` (seeded Monte Carlo against exact values) and
 ``series`` (named series expansions).  Output is CSV by default or JSON
-with ``--format json``; exact values always appear as numerator and
-denominator next to a rounded decimal.  Every ``series`` token is read
-off closed coefficient formulas, ``f0`` and ``g0`` too
-(``closedforms.f0_series`` and ``g0_series``); their expansions at t(x)
-are the route the verification suites check.
+with ``--format json``; ``verify`` prints PASS/FAIL lines by default,
+and with ``--format csv`` or ``json`` one row per suite with its time.
+Exact values always appear as numerator and denominator next to a
+rounded decimal.  Every ``series`` token is read off closed coefficient
+formulas, ``f0`` and ``g0`` too (``closedforms.f0_series`` and
+``g0_series``); their expansions at t(x) are the route the verification
+suites check.
 
 Each printing command builds its rows as tuples under a fixed header
-and hands them to ``_emit``.  CSV goes through ``csv.writer``; JSON goes
-through a small writer that gives the bytes of ``json.dumps`` with
-``indent=2`` for the same rows as dicts, without CPython's pure-Python
-indenting encoder: int columns go into its row template through ``%d``.
+and hands them to ``_emit``, one writer for both formats: it gives the
+bytes of ``csv.writer`` (``QUOTE_MINIMAL``, lines ended by "\n") or of
+``json.dumps`` with ``indent=2`` for the same rows as dicts, and
+imports neither module's writer.  It classifies each column once: ints
+go into the row template through ``%d``; strs as they are where one
+regex search over the column finds nothing to quote or escape; in CSV,
+bools and floats as they are too, since csv writes them by ``str``; and
+any other column value by value.  Each row is then one ``%`` of the
+template with the row tuple.
 Rounding divides through one cached decimal context per digit count.
 ``table`` reads the DP's integer numerators over b**n for p = a/b
 (``models.dp_numerators``) straight into its rows: one gcd per mass for
@@ -41,9 +48,12 @@ value with more digits than the budget is a usage error.  ``table``,
 simulation runs, from p's denominator: the largest denominator at step
 n is a known power of it (``models.denominator_power``) that never
 shrinks as n grows.  ``coeff --source closed-form`` decides it after
-its sum.  Every size refusal asks one question, ``_too_long``: does
-base**power have more than a given number of digits.  ``--digits``
-above the budget is a usage error, and so is a ``--p`` whose exponent
+its sum.  Every digit refusal asks one question, ``_too_long``: does
+base**power have more than a given number of digits.  ``table`` also
+bounds the characters it would print (``_table_text``), from the rows
+each step can hold and the digits of each step's denominator, and
+refuses a table past ``TABLE_TEXT_CAP``, 6 million, before the DP.
+``--digits`` above the budget is a usage error, and so is a ``--p`` whose exponent
 reaches it.  An error line quotes at most the first 40 characters of an
 argument.
 The argument parser is built once per process.
@@ -53,7 +63,6 @@ The argument parser is built once per process.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import re
 import sys
@@ -62,7 +71,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import itemgetter
-from typing import Iterable
 
 from . import closedforms, montecarlo, verification
 from .models import (
@@ -89,6 +97,17 @@ SERIES_ORDER_CAP = 200
 # Draws one ``simulate`` call may make: trials times steps, at least one
 # step counted.  At the cap a simulation takes about a second.
 TRIAL_DRAW_CAP = 10**8
+# Characters one ``table`` may print, by the bound of ``_table_text``.  At
+# the cap the slowest tables measured, such as double-large at 58 steps
+# with p = 1e-60, took 0.5 s in a child process on the same VM.  The
+# largest table at the default p, double-large at 200 steps in JSON,
+# bounds to 3.7 million.
+TABLE_TEXT_CAP = 6 * 10**6
+# Text of a table row besides the digits of num, den and the decimal's
+# significant digits: at most 32 characters in CSV and 128 in JSON (the
+# longest model, step and state, the decimal's "0.00000" or exponent,
+# and in JSON the keys), rounded up.
+_ROW_TEXT = {"csv": 40, "json": 130}
 
 TABLE_HEADER = ("model", "step", "state", "num", "den", "decimal")
 COEFF_HEADER = ("model", "steps", "state", "source", "num", "den", "decimal", "note")
@@ -97,6 +116,7 @@ SIMULATE_HEADER = (
     "exact_decimal", "deviation", "four_sigma_bound", "within",
 )
 SERIES_HEADER = ("series", "k", "num", "den", "decimal")
+VERIFY_HEADER = ("suite", "passed", "checks", "failures", "seconds")
 
 SERIES_TOKENS = {
     "t": closedforms.t_series,
@@ -205,47 +225,62 @@ def _check_printable(base: int, power: int, steps: int) -> None:
         )
 
 
-_JSON_VALUE = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-}
+def _table_text(model: WalkModel, steps: int, digits: int, fmt: str) -> int:
+    """An upper bound on the characters ``table`` prints.  Step n has at
+    most frontier(n)/3 + 2 rows (one residue class, and BETA), each with
+    num and den of at most the digits of b**denominator_power(n), the
+    decimal's ``digits`` and the format's fixed text.  1234/4096 lies just
+    above log10(2), so the bit length bounds the digit count from above."""
+    base = model.p.denominator
+    return sum(
+        (frontier(model, n) // 3 + 2) * (
+            2 * ((base ** denominator_power(model, n)).bit_length() * 1234 // 4096 + 1)
+            + digits + _ROW_TEXT[fmt]
+        )
+        for n in range(steps + 1)
+    )
 
 
-def _json_column(rows: list[tuple], i: int) -> tuple[str, Iterable]:
-    """Template slot and values of column ``i``: an int-only column goes
-    in through ``%d``, which gives the bytes of ``int.__repr__``, and any
-    other column through ``_JSON_VALUE``."""
-    column = map(itemgetter(i), rows)
-    if set(map(type, map(itemgetter(i), rows))) == {int}:
-        return "%d", column
-    return "%s", (_JSON_VALUE[value.__class__](value) for value in column)
+# Characters json.dumps escapes (all but printable ASCII bar " \) or csv quotes.
+_SPECIAL = {"json": re.compile(r'[^ !#-\[\]-~]'), "csv": re.compile(r'[,"\n]')}
+_JSON_VALUE = {str: encode_basestring_ascii, bool: ("false", "true").__getitem__}
 
 
-def _write_json(rows: list[tuple], header: tuple[str, ...]) -> None:
-    """Write ``json.dumps([dict(zip(header, row)) for row in rows],
-    indent=2)`` and a newline, for at least one row and one column of
-    str, int and bool values."""
-    slots, columns = zip(*[_json_column(rows, i) for i in range(len(header))])
-    template = "{" + "".join(
-        ("," if i else "") + "\n    " + encode_basestring_ascii(key).replace("%", "%%")
-        + ": " + slot
-        for i, (key, slot) in enumerate(zip(header, slots))
-    ) + "\n  }"
-    values = zip(*columns)
-    out = sys.stdout
-    out.write("[\n  " + template % next(values))
-    out.writelines(map((",\n  " + template).__mod__, values))
-    out.write("\n]\n")
+def _field(value: object, is_json: bool, lone: bool) -> str:
+    """``value`` as ``json.dumps`` or csv writes it; csv quotes a ``lone`` empty field."""
+    if is_json:
+        return _JSON_VALUE.get(value.__class__, repr)(value)
+    text = str(value)
+    quote = _SPECIAL["csv"].search(text) or (lone and not text)
+    return '"' + text.replace('"', '""') + '"' if quote else text
 
 
 def _emit(rows: list[tuple], fmt: str, header: tuple[str, ...]) -> None:
-    if fmt == "json":
-        _write_json(rows, header)
-        return
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    """Write one or more ``rows`` under ``header`` as ``csv.writer`` with
+    lines ended by "\\n", or as ``json.dumps(..., indent=2)`` of the rows
+    as dicts and a newline, for str, int, bool and finite float values."""
+    is_json, lone = fmt == "json", fmt == "csv" and len(header) == 1
+    convert = functools.partial(_field, is_json=is_json, lone=lone)
+    slots = []
+    for i in range(len(header)):
+        column = functools.partial(map, itemgetter(i), rows)
+        kinds = set(map(type, column()))
+        plain = kinds == {str} and not lone and not _SPECIAL[fmt].search("".join(column()))
+        # As they are: plain strs, and in CSV numbers and bools, which csv writes by str().
+        bare = plain or not (is_json or str in kinds)
+        slots.append("%d" if kinds == {int} else ('"%s"' if is_json else "%s") if bare else None)
+    if None in slots:  # convert the values of every other column one by one
+        rows = [tuple(v if s else convert(v) for s, v in zip(slots, row)) for row in rows]
+        slots = [s or "%s" for s in slots]
+    keys = [convert(key) for key in header]
+    if is_json:
+        row = "{" + ",".join(f"\n    {k.replace('%', '%%')}: {s}" for k, s in zip(keys, slots))
+        row, head, sep, tail = row + "\n  }", "[\n  ", ",\n  ", "\n]\n"
+    else:
+        row, head, sep, tail = ",".join(slots), ",".join(keys) + "\n", "\n", "\n"
+    sys.stdout.write(head + row % rows[0])
+    sys.stdout.writelines(map((sep + row).__mod__, rows[1:]))
+    sys.stdout.write(tail)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -259,6 +294,12 @@ def cmd_table(args: argparse.Namespace) -> int:
         for n in range(args.steps):
             _check_printable(base, denominator_power(model, n), n)
         raise
+    size = _table_text(model, args.steps, args.digits, args.format)
+    if size > TABLE_TEXT_CAP:
+        raise UsageError(
+            f"a table of {args.steps} steps may print {size} characters, "
+            f"past the safety cap of {TABLE_TEXT_CAP}"
+        )
     name = model.name
     divide = _context(args.digits).divide
     rows = []
@@ -319,6 +360,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
     )
+    failed = sum(not suite.passed for suite in results)
+    if args.format != "text":
+        rows = [(s.name, s.passed, s.checks, len(s.failures), s.seconds) for s in results]
+        _emit(rows, args.format, VERIFY_HEADER)
+        return 1 if failed else 0
     for suite in results:
         if suite.passed:
             print(f"PASS {suite.name} ({suite.checks} checks)")
@@ -328,7 +374,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 print(f"  {line}")
             if len(suite.failures) > 5:
                 print(f"  ... and {len(suite.failures) - 5} more")
-    failed = sum(not suite.passed for suite in results)
     if failed:
         print(f"overall: FAIL ({failed} of {len(results)} suites failed)")
         return 1
@@ -407,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-steps", type=int, default=30)
     verify.add_argument("--trials", type=int, default=20000)
     verify.add_argument("--seed", type=int, default=montecarlo.DEFAULT_SEED)
+    verify.add_argument("--format", choices=["text", "csv", "json"], default="text")
     verify.set_defaults(func=cmd_verify)
 
     simulate = sub.add_parser("simulate", help="seeded Monte Carlo against exact values")

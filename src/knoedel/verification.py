@@ -11,12 +11,14 @@ checking; failures carry enough context to locate the disagreement.
 Every suite returns a ``SuiteResult``: the suite calls its ``check``
 once per comparison, which counts the check and keeps the label of each
 one that fails, and ``passed`` holds while no check has failed.
+``run_verification`` also records the seconds each suite took.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from time import perf_counter
 
 from . import closedforms, montecarlo
 from .exactmath import Polynomial, TruncatedSeries
@@ -40,6 +42,7 @@ class SuiteResult:
     name: str
     checks: int = 0
     failures: list[str] = field(default_factory=list)
+    seconds: float = 0.0
 
     def check(self, ok: bool, label: str) -> None:
         self.checks += 1
@@ -268,15 +271,21 @@ def simulation_suite(trials: int, seed: int) -> SuiteResult:
 
 
 def run_verification(order: int, max_steps: int, trials: int, seed: int) -> list[SuiteResult]:
-    """Run every suite with shared size limits."""
-    return [
-        normalization_and_support_suite(max_steps),
-        oracle_equivalence_suite(min(max_steps, 12)),
-        recursion_fidelity_suite(max_steps),
-        closed_form_grid_suite(max_steps),
-        series_suite(order),
-        kernel_identity_suite(),
-        girard_waring_suite(),
-        column_consistency_suite(min(8, max(order - 1, 1))),
-        simulation_suite(trials, seed),
+    """Run every suite with shared size limits, timing each one."""
+    calls = [
+        (normalization_and_support_suite, max_steps),
+        (oracle_equivalence_suite, min(max_steps, 12)),
+        (recursion_fidelity_suite, max_steps),
+        (closed_form_grid_suite, max_steps),
+        (series_suite, order),
+        (kernel_identity_suite,),
+        (girard_waring_suite,),
+        (column_consistency_suite, min(8, max(order - 1, 1))),
+        (simulation_suite, trials, seed),
     ]
+    results = []
+    for suite, *args in calls:
+        start = perf_counter()
+        results.append(suite(*args))
+        results[-1].seconds = perf_counter() - start
+    return results

@@ -119,6 +119,19 @@ def headers_and_rows(draw):
 
 @given(headers_and_rows())
 @example((("%s", "%%", "\u00e9"), [("%d", 10**70, True), ("", -3, False)]))
+# csv writes a row that is one empty field as "".
+@example((("",), [("",)]))
+@example((("x",), [("a",), ("",)]))
+# A bool column, and an int column holding a bool: ``%d`` would print 1.
+@example((("flag", "count"), [(True, 3), (False, True)]))
+@example((("100%", "%d"), [("%s", "50%"), ("%%", "%")]))
+# One value that needs quoting or escaping among plain ones, so only that
+# column is converted value by value.
+@example((("a", "b"), [("x", "1,2"), ("y", "3")]))
+@example((("a", "b"), [("x", 'say "hi"'), ("y", "3")]))
+@example((("a", "b"), [("x", "cr\r"), ("y", "3")]))
+@example((("a", "b"), [("x", "\u00e9t\u00e9"), ("y", "3")]))
+@example((("big", "small"), [(10**80, -(10**80)), (-(10**80), 10**80)]))
 def test_emit_matches_json_dumps_and_dict_writer(header_rows):
     header, rows = header_rows
     dict_rows = [dict(zip(header, row)) for row in rows]
@@ -189,6 +202,62 @@ def test_table_matches_the_fraction_route(walk, steps, digits, fmt):
     for _, _, row in dp_numerators(walk, 0, steps):
         states = [state for state, _ in row]
         assert states == sorted(states, key=state_sort_key)
+
+
+# Mid-size p: a power of ten, or a/b with a large prime b.
+LARGE_PRIMES = [10**9 + 7, 2**61 - 1, 2**89 - 1]
+MID_P = st.integers(5, 30).map(lambda k: f"1e-{k}") | st.sampled_from(LARGE_PRIMES).flatmap(
+    lambda b: st.integers(1, b - 1).map(lambda a: f"{a}/{b}")
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([WalkModel.double_large, WalkModel.double_small]),
+    MID_P | st.fractions(Fraction(1, 12), Fraction(11, 12), max_denominator=12).map(str),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=60),
+    st.sampled_from(["csv", "json"]),
+)
+@example(WalkModel.double_large, "1/3", 200, 12, "json")
+@example(WalkModel.double_small, "1e-30", 30, 60, "csv")
+def test_table_text_bounds_what_table_prints(kind, p, steps, digits, fmt):
+    walk = kind(Fraction(p))
+    argv = ["table", "--model", walk.name, "--steps", str(steps), "--digits", str(digits),
+            "--format", fmt, "--p", p]
+    out = io.StringIO()
+    with int_str_limit(4300), contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert len(out.getvalue()) <= cli._table_text(walk, steps, digits, fmt)
+
+
+def test_table_refuses_past_its_text_cap_before_the_dp(capsys, monkeypatch):
+    """The largest table ``table`` prints at p = 1e-21 passes; one step
+    more is refused before the DP, and so is the table of 200 steps, which
+    would print 58 MB."""
+    walk = WalkModel.double_large(Fraction(1, 10**21))
+    steps = max(n for n in range(201) if cli._table_text(walk, n, 12, "csv") <= cli.TABLE_TEXT_CAP)
+    argv = ["table", "--model", "double-large", "--p", "1e-21", "--steps"]
+    with int_str_limit(4300):
+        code, out, err = run_cli(capsys, *argv, str(steps))
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith(f"double-large,{steps},")
+
+    def dp_numerators(model, first, last):
+        raise AssertionError(f"the DP ran to {last} steps")
+
+    monkeypatch.setattr(cli, "dp_numerators", dp_numerators)
+    for n in (steps + 1, 200):
+        start = time.perf_counter()
+        with int_str_limit(4300):
+            code, out, err = run_cli(capsys, *argv, str(n))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        size = cli._table_text(walk, n, 12, "csv")
+        assert err == (f"error: a table of {n} steps may print {size} characters, "
+                       f"past the safety cap of {cli.TABLE_TEXT_CAP}\n")
+    # The largest table at the default p, which is bigger in JSON.
+    assert cli._table_text(WalkModel.double_large(), 200, 12, "json") < cli.TABLE_TEXT_CAP
 
 
 def test_table_csv_output(capsys):
@@ -663,6 +732,53 @@ def test_verify_detects_corrupted_formula(capsys, monkeypatch):
     assert out.splitlines()[-1].startswith("overall: FAIL")
 
 
+VERIFY_SMALL = ["verify", "--order", "5", "--max-steps", "9", "--trials", "2000"]
+
+
+def verify_rows(out, fmt):
+    if fmt == "json":
+        return json.loads(out)
+    return [
+        {**row, "passed": row["passed"] == "True"}
+        for row in csv.DictReader(io.StringIO(out))
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_prints_one_row_per_suite(capsys, fmt):
+    """``--format text`` is the default output, and CSV or JSON give one
+    row per suite: the suites of the text lines, whose checks add up to
+    the overall count."""
+    code, text, err = run_cli(capsys, *VERIFY_SMALL)
+    assert code == 0 and err == ""
+    assert run_cli(capsys, *VERIFY_SMALL, "--format", "text") == (0, text, "")
+    code, out, err = run_cli(capsys, *VERIFY_SMALL, "--format", fmt)
+    assert code == 0 and err == ""
+    rows = verify_rows(out, fmt)
+    assert [tuple(row) for row in rows] == [cli.VERIFY_HEADER] * 9
+    assert [row["suite"] for row in rows] == [line.split()[1] for line in text.splitlines()[:-1]]
+    total = re.fullmatch(r"overall: PASS \(9 suites, (\d+) checks\)", text.splitlines()[-1])
+    assert sum(int(row["checks"]) for row in rows) == int(total.group(1))
+    assert all(row["passed"] and int(row["failures"]) == 0 for row in rows)
+    assert all(0 <= float(row["seconds"]) < 30 for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_rows_flag_a_failing_suite(capsys, monkeypatch, fmt):
+    """A wrong closed form fails the suites the text output names, with
+    exit 1 in every format."""
+    monkeypatch.setattr(closedforms, "fbeta_coeff", lambda m: Fraction(1, 2))
+    code, text, _ = run_cli(capsys, *VERIFY_SMALL)
+    assert code == 1
+    failed = [line.split()[1] for line in text.splitlines() if line.startswith("FAIL ")]
+    assert "closed-form-grid" in failed
+    code, out, _ = run_cli(capsys, *VERIFY_SMALL, "--format", fmt)
+    assert code == 1
+    rows = verify_rows(out, fmt)
+    assert [row["suite"] for row in rows if not row["passed"]] == failed
+    assert all((int(row["failures"]) > 0) != row["passed"] for row in rows)
+
+
 def test_usage_errors_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--model", "wrong", "--steps", "2"])
@@ -693,13 +809,13 @@ def test_error_lines_quote_a_short_prefix(capsys):
     assert err == f"error: invalid state {'x' * 40!r}...\n"
 
 
-# Values on both sides of every step cap, and --p spellings around the
-# int-to-string limit and far past it, valid and not.
+# Values on both sides of every step cap, and --p spellings: mid-size,
+# around the int-to-string limit and far past it, valid and not.
 FUZZ_STEPS = st.sampled_from([-1, 0, 1, 2, 3, 200, 201, 1000, 1001, 15000, 15001])
 FUZZ_P = st.fractions(Fraction(1, 60), Fraction(59, 60), max_denominator=60).map(str) | (
     st.sampled_from([f"1e-{k}" for k in (639, 640, 4299, 4300, 10**8, 10**30)]
                     + ["1/1" + "0" * 4300, "0", "1", "7/3", "-1/2", "1/0", "1e", "nan", "p"])
-)
+) | MID_P
 
 
 def fuzz_trials(steps):
@@ -862,7 +978,8 @@ def test_console_script_entry_point():
 
 def test_table_process_does_not_import_numpy():
     """Only ``simulate`` (and ``verify``, through it) needs numpy, and the
-    trials cap refuses before it is imported."""
+    trials cap refuses before it is imported.  No command imports csv:
+    ``_emit`` writes both formats itself."""
     result = run_python("-c", """\
 import contextlib, io, sys
 import knoedel.cli
@@ -876,6 +993,7 @@ for argv in (["simulate", "--model", "double-large", "--steps", "2"], ["verify"]
     with contextlib.redirect_stderr(io.StringIO()):
         assert knoedel.cli.main([*argv, "--trials", "100000000000"]) == 2
 assert "numpy" not in sys.modules, "numpy was imported"
+assert "csv" not in sys.modules, "csv was imported"
 """)
     assert result.returncode == 0, result.stderr
 
