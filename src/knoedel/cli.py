@@ -270,7 +270,11 @@ def _emit(rows: list[tuple], fmt: str, header: tuple[str, ...]) -> None:
         bare = plain or not (is_json or str in kinds)
         slots.append("%d" if kinds == {int} else ('"%s"' if is_json else "%s") if bare else None)
     if None in slots:  # convert the values of every other column one by one
-        rows = [tuple(v if s else convert(v) for s, v in zip(slots, row)) for row in rows]
+        columns = list(zip(*rows))
+        for i, slot in enumerate(slots):
+            if slot is None:
+                columns[i] = map(convert, columns[i])
+        rows = list(zip(*columns))
         slots = [s or "%s" for s in slots]
     keys = [convert(key) for key in header]
     if is_json:

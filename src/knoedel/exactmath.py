@@ -12,18 +12,29 @@ are exact.  The three building blocks are
   no arithmetic of its own.
 
 Series and polynomials share one ring skeleton, ``_Ring``: the
-coefficient tuple, negation, subtraction and non-negative powers are
-written once there, from each class's constructor, ``_lift``, ``+`` and
-``*``.  Substitution has one Horner loop, ``Polynomial.__call__``, which
-``TruncatedSeries.compose`` and ``RationalFunction.expand`` both go
-through.
+representation, ``+``, scalar ``*``, negation, subtraction and
+non-negative powers are written once there, and each class adds its
+constructor and its ``*``.  Substitution has one Horner loop,
+``Polynomial.__call__``, which ``TruncatedSeries.compose`` and
+``RationalFunction.expand`` both go through.
 
-Products run on integers: ``_convolve`` drops each operand's trailing
-zeros, scales it to integer numerators over the LCM of its denominators,
-convolves those integers, and forms each output ``Fraction`` once over the
-product of the two denominators; both ``__mul__`` methods go through it.
-The trim makes a product with a padded sparse series, such as the cubic
-x(t) held to order n, cost O(n), so composing with it is O(n^2).
+The ring runs on integers.  An element is a tuple of integer numerators
+over one positive common denominator, kept canonical: the denominator
+and the numerators have no common factor, and a polynomial has no
+trailing zero, so ``==`` compares tuples.  ``+`` scales each operand once
+to the LCM of the two denominators, ``*`` convolves the numerators over
+the product of the denominators (``_convolve``), and each reduces its
+result once, by one ``gcd`` of the denominator and all numerators.
+Scalars enter as integers, and the Horner loop adds a polynomial's
+integer numerators, dividing by its denominator once at the end.
+``Fraction``s appear only at the edge: ``coeffs`` forms its tuple on the
+first read and keeps it, ``coeff(k)`` forms only the value asked for
+until then, and an element built from scalars keeps the
+``Fraction``s it was given and forms its integers only on its first
+arithmetic, so building a series and reading it back does no integer
+work.  ``_convolve`` drops each operand's trailing zeros, which makes a
+product with a padded sparse series, such as the cubic x(t) held to
+order n, cost O(n), so composing with it is O(n^2).
 
 The reciprocal and the reversion are both Newton's method, which doubles
 the number of correct coefficients each pass (Brent and Kung, "Fast
@@ -42,9 +53,11 @@ precision than its inputs support.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from math import comb, lcm
-from operator import mul
+from itertools import zip_longest
+from math import comb, gcd, lcm
+from operator import mul, neg
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -72,73 +85,133 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _trimmed(coeffs: Sequence[Fraction]) -> Sequence[Fraction]:
-    """``coeffs`` without its trailing zeros."""
-    end = len(coeffs)
-    while end and not coeffs[end - 1]:
+def _trimmed(nums: Sequence[int]) -> Sequence[int]:
+    """``nums`` without its trailing zeros."""
+    end = len(nums)
+    while end and not nums[end - 1]:
         end -= 1
-    return coeffs[:end]
+    return nums[:end]
 
 
-def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], length: int) -> list[Fraction]:
-    """The first ``length`` coefficients of the product of ``a`` and ``b``.
+def _convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
+    """The first ``length`` coefficients of the product of the integer
+    sequences ``a`` and ``b``.
 
     Trailing zeros of either operand are dropped first; they add nothing
     to the product, and a padded sparse operand (such as the cubic x(t)
     held as a series of order n) then costs O(n) per product, not O(n^2).
-    Each operand becomes integer numerators over the LCM of its
-    denominators; each output coefficient is one integer dot product,
-    reduced to a ``Fraction`` once.
+    Each output coefficient is one integer dot product.
     """
     a, b = _trimmed(a), _trimmed(b)
-    den_a = lcm(*(c.denominator for c in a))
-    den_b = lcm(*(c.denominator for c in b))
-    ints_a = [c.numerator * (den_a // c.denominator) for c in a]
-    # b reversed, so that coefficient k pairs a slice of ints_a with a
-    # slice of this list, both read forwards.
-    ints_b = [c.numerator * (den_b // c.denominator) for c in reversed(b)]
-    den = den_a * den_b
+    # b reversed, so that coefficient k pairs a slice of a with a slice
+    # of this tuple, both read forwards.
+    rb = b[::-1]
     last_a, last_b = len(a) - 1, len(b) - 1
     out = []
     for k in range(length):
         lo, hi = max(0, k - last_b), min(k, last_a) + 1
         shift = last_b - k
-        out.append(Fraction(sum(map(mul, ints_a[lo:hi], ints_b[lo + shift:hi + shift])), den))
+        out.append(sum(map(mul, a[lo:hi], rb[lo + shift:hi + shift])))
     return out
 
 
 class _Ring:
-    """The coefficient tuple, negation, subtraction and powers, built from
-    a subclass's constructor, ``_lift``, ``+`` and ``*``.  ``_lift`` turns
-    a scalar (or a coarser ring element) into the subclass, or returns
-    None for a foreign type."""
+    """``_nums / _den`` in canonical form, ``gcd(_den, *_nums) == 1``, or,
+    until its first arithmetic, only ``_fracs``, the ``Fraction``s it was
+    built from.  A subclass adds its constructor, ``*``, ``_TRIM`` (drop
+    trailing zeros) and ``_pairs`` (how ``+`` pairs up coefficients of
+    unequal lengths)."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_fracs", "_nums", "_den")
+    _TRIM = False
+
+    @classmethod
+    def _raw(cls, nums: tuple[int, ...], den: int):
+        """The element ``nums / den``, which must already be canonical."""
+        out = object.__new__(cls)
+        out._fracs, out._nums, out._den = None, nums, den
+        return out
+
+    @classmethod
+    def _reduced(cls, nums: Sequence[int], den: int):
+        """The element ``nums / den`` for any ``den`` > 0, made canonical."""
+        if cls._TRIM:
+            nums = _trimmed(nums)
+        g = gcd(den, *nums)
+        if g == 1:
+            return cls._raw(tuple(nums), den)
+        return cls._raw(tuple([x // g for x in nums]), den // g)
+
+    def _ints(self) -> tuple[tuple[int, ...], int]:
+        """The numerators and their common denominator."""
+        if self._nums is None:
+            # Each Fraction is reduced, so the numerators over the LCM of
+            # their denominators share no factor with it.
+            den = lcm(*(c.denominator for c in self._fracs))
+            self._nums = tuple(c.numerator * (den // c.denominator) for c in self._fracs)
+            self._den = den
+        return self._nums, self._den
+
+    def _length(self) -> int:
+        return len(self._nums if self._fracs is None else self._fracs)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        """The coefficients as Fractions, formed on the first read and kept."""
+        if self._fracs is None:
+            den = self._den
+            self._fracs = tuple(Fraction(x, den) for x in self._nums)
+        return self._fracs
+
+    def _coeff(self, k: int) -> Fraction:
+        """Coefficient ``k``, formed alone if the tuple is not yet formed."""
+        if self._fracs is not None:
+            return self._fracs[k]
+        return Fraction(self._nums[k], self._den)
+
+    def __add__(self, other: object):
+        if isinstance(other, (int, Fraction)):
+            # A constant: one scale, and only numerator 0 gains a term.
+            nums, den = self._ints()
+            p, q = other.numerator, other.denominator
+            scale = q // gcd(den, q)
+            out = [x * scale for x in nums] or [0]
+            out[0] += p * (den * scale // q)
+            return self._reduced(out, den * scale)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        (a, den_a), (b, den_b) = self._ints(), other._ints()
+        g = gcd(den_a, den_b)
+        scale_a, scale_b = den_b // g, den_a // g
+        return self._reduced([x * scale_a + y * scale_b for x, y in self._pairs(a, b)],
+                             den_a * scale_a)
+
+    __radd__ = __add__
+
+    def _times(self, value: Scalar):
+        nums, den = self._ints()
+        p = value.numerator
+        return self._reduced([x * p for x in nums], den * value.denominator)
 
     def __neg__(self):
-        return type(self)([-c for c in self._coeffs])
+        nums, den = self._ints()
+        return self._raw(tuple(map(neg, nums)), den)
 
     def __sub__(self, other: object):
-        rhs = self._lift(other)
-        if rhs is None:
+        if not isinstance(other, (int, Fraction, type(self))):
             return NotImplemented
-        return self + (-rhs)
+        return self + (-other)
 
     def __rsub__(self, other: object):
-        rhs = self._lift(other)
-        if rhs is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return rhs + (-self)
+        return -self + other
 
     def __pow__(self, exponent: int):
-        """Square and multiply, starting from the lifted 1."""
+        """Square and multiply, starting from 1."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self._lift(1)
+        result = self._reduced([1] + [0] * (self._length() - 1), 1)
         base = self
         while exponent:
             if exponent & 1:
@@ -153,6 +226,8 @@ class TruncatedSeries(_Ring):
     """Formal power series truncated to a fixed number of coefficients."""
 
     __slots__ = ()
+    # A sum keeps the smaller order.
+    _pairs = zip
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
         vals = [_as_fraction(c) for c in coeffs]
@@ -163,7 +238,7 @@ class TruncatedSeries(_Ring):
             vals.extend([Fraction(0)] * (order - len(vals)))
         elif not vals:
             raise ValueError("empty coefficient list needs an explicit order")
-        self._coeffs = tuple(vals)
+        self._fracs, self._nums, self._den = tuple(vals), None, 1
 
     @classmethod
     def identity(cls, order: int) -> TruncatedSeries:
@@ -172,36 +247,29 @@ class TruncatedSeries(_Ring):
 
     @property
     def order(self) -> int:
-        return len(self._coeffs)
+        return self._length()
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of t^k.  Asking beyond the truncation order is a bug."""
-        if not 0 <= k < len(self._coeffs):
-            raise IndexError(f"coefficient {k} outside truncation order {len(self._coeffs)}")
-        return self._coeffs[k]
+        if not 0 <= k < self._length():
+            raise IndexError(f"coefficient {k} outside truncation order {self._length()}")
+        return self._coeff(k)
 
-    def _lift(self, other: object) -> TruncatedSeries | None:
-        if isinstance(other, TruncatedSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([other], len(self._coeffs))
-        return None
-
-    def __add__(self, other: object) -> TruncatedSeries:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        n = min(len(self._coeffs), len(rhs._coeffs))
-        return TruncatedSeries([self._coeffs[k] + rhs._coeffs[k] for k in range(n)])
-
-    __radd__ = __add__
+    def _resized(self, order: int) -> TruncatedSeries:
+        """This series cut or zero-padded to ``order``."""
+        nums, den = self._ints()
+        if order < len(nums):
+            return TruncatedSeries._reduced(nums[:order], den)
+        return TruncatedSeries._raw(nums + (0,) * (order - len(nums)), den)
 
     def __mul__(self, other: object) -> TruncatedSeries:
-        rhs = self._lift(other)
-        if rhs is None:
+        if isinstance(other, (int, Fraction)):
+            return self._times(other)
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(len(self._coeffs), len(rhs._coeffs))
-        return TruncatedSeries(_convolve(self._coeffs[:n], rhs._coeffs[:n], n))
+        (a, den_a), (b, den_b) = self._ints(), other._ints()
+        n = min(len(a), len(b))
+        return TruncatedSeries._reduced(_convolve(a[:n], b[:n], n), den_a * den_b)
 
     __rmul__ = __mul__
 
@@ -211,22 +279,24 @@ class TruncatedSeries(_Ring):
         Newton's method: from b = 1/a0, each pass b <- b + b (1 - a b)
         doubles the number of correct coefficients, up to the order of a.
         """
-        a = self._coeffs
-        if a[0] == 0:
+        nums, den = self._ints()
+        if nums[0] == 0:
             raise ValueError("not a unit: constant term is zero")
-        b = TruncatedSeries([1 / a[0]])
-        while b.order < len(a):
-            order = min(2 * b.order, len(a))
-            b = TruncatedSeries(b._coeffs, order)
-            b = b + b * (1 - TruncatedSeries(a[:order]) * b)
+        first = Fraction(den, nums[0])
+        b = TruncatedSeries._raw((first.numerator,), first.denominator)
+        while b.order < len(nums):
+            order = min(2 * b.order, len(nums))
+            b = b._resized(order)
+            b = b + b * (1 - self._resized(order) * b)
         return b
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """Substitute ``inner`` for the variable.  Inner constant term must vanish."""
-        if inner._coeffs[0] != 0:
+        if inner._ints()[0][0] != 0:
             raise ValueError("inner series must have zero constant term")
-        n = min(len(self._coeffs), len(inner._coeffs))
-        return Polynomial(self._coeffs[:n])(TruncatedSeries(inner._coeffs[:n]))
+        nums, den = self._ints()
+        n = min(len(nums), inner.order)
+        return Polynomial._reduced(nums[:n], den)(inner._resized(n))
 
     def reversion(self) -> TruncatedSeries:
         """Compositional inverse r with A(r) = t, where A is this series.
@@ -241,95 +311,86 @@ class TruncatedSeries(_Ring):
         ``order`` products per pass, slower than Lagrange inversion's one
         product per coefficient.
         """
-        a = self._coeffs
-        if a[0] != 0 or a[1] == 0:
+        nums, den = self._ints()
+        if nums[0] != 0 or nums[1] == 0:
             raise ValueError("not invertible as formal series")
-        r = TruncatedSeries([0, 1 / a[1]])
-        while r.order < len(a):
-            order = min(2 * r.order, len(a))
-            r = TruncatedSeries(r._coeffs, order)
-            head = a[:order]
-            residual = Polynomial(head)(r) - TruncatedSeries.identity(order)
-            slope = Polynomial([k * c for k, c in enumerate(head) if k])
+        first = Fraction(den, nums[1])
+        r = TruncatedSeries._raw((0, first.numerator), first.denominator)
+        while r.order < len(nums):
+            order = min(2 * r.order, len(nums))
+            r = r._resized(order)
+            head = nums[:order]
+            residual = Polynomial._reduced(head, den)(r) - TruncatedSeries.identity(order)
+            slope = Polynomial._reduced([k * c for k, c in enumerate(head)][1:], den)
             r = r - residual * slope(r).recip()
         return r
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._ints() == other._ints()
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self._coeffs[:6])
-        tail = ", ..." if len(self._coeffs) > 6 else ""
-        return f"TruncatedSeries([{shown}{tail}], order={len(self._coeffs)})"
+        shown = ", ".join(str(c) for c in self.coeffs[:6])
+        tail = ", ..." if self._length() > 6 else ""
+        return f"TruncatedSeries([{shown}{tail}], order={self._length()})"
 
 
 class Polynomial(_Ring):
-    """Dense polynomial over Fraction, indexed by ascending powers."""
+    """Dense polynomial with exact coefficients, indexed by ascending powers."""
 
     __slots__ = ()
+    _TRIM = True
+    # A sum is as long as the longer operand.
+    _pairs = functools.partial(zip_longest, fillvalue=0)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         vals = [_as_fraction(c) for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
-        self._coeffs = tuple(vals)
+        self._fracs, self._nums, self._den = tuple(vals), None, 1
 
     @classmethod
     def x(cls) -> Polynomial:
         return cls([0, 1])
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._length()
 
     def coeff(self, k: int) -> Fraction:
-        if k < len(self._coeffs):
-            return self._coeffs[k]
+        if k < self._length():
+            return self._coeff(k)
         return Fraction(0)
 
     def __call__(self, point):
-        """Horner evaluation; works for scalars, series and polynomials."""
+        """Horner evaluation over the integer numerators, divided by their
+        denominator once at the end; works for scalars, series and
+        polynomials."""
+        nums, den = self._ints()
         acc = point * 0
-        for c in reversed(self._coeffs):
+        for c in reversed(nums):
             acc = acc * point + c
-        return acc
-
-    def _lift(self, other: object) -> Polynomial | None:
-        if isinstance(other, Polynomial):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([other])
-        return None
-
-    def __add__(self, other: object) -> Polynomial:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        n = max(len(self._coeffs), len(rhs._coeffs))
-        return Polynomial([self.coeff(k) + rhs.coeff(k) for k in range(n)])
-
-    __radd__ = __add__
+        return acc * Fraction(1, den)
 
     def __mul__(self, other: object) -> Polynomial:
-        rhs = self._lift(other)
-        if rhs is None:
+        if isinstance(other, (int, Fraction)):
+            return self._times(other)
+        if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero() or rhs.is_zero():
-            return Polynomial()
-        length = len(self._coeffs) + len(rhs._coeffs) - 1
-        return Polynomial(_convolve(self._coeffs, rhs._coeffs, length))
+        (a, den_a), (b, den_b) = self._ints(), other._ints()
+        return Polynomial._reduced(_convolve(a, b, len(a) + len(b) - 1), den_a * den_b)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        rhs = self._lift(other)
-        if rhs is None:
+        if isinstance(other, (int, Fraction)):
+            other = Polynomial._reduced([other.numerator], other.denominator)
+        if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._coeffs == rhs._coeffs
+        return self._ints() == other._ints()
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self._coeffs)!r})"
+        return f"Polynomial({list(self.coeffs)!r})"
 
 
 class RationalFunction:

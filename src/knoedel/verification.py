@@ -271,7 +271,12 @@ def simulation_suite(trials: int, seed: int) -> SuiteResult:
 
 
 def run_verification(order: int, max_steps: int, trials: int, seed: int) -> list[SuiteResult]:
-    """Run every suite with shared size limits, timing each one."""
+    """Run every suite with shared size limits, timing each one.
+
+    The simulation suite always runs, so numpy is imported before the
+    first clock starts; its import is then charged to no suite."""
+    import numpy  # noqa: F401
+
     calls = [
         (normalization_and_support_suite, max_steps),
         (oracle_equivalence_suite, min(max_steps, 12)),

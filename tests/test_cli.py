@@ -998,6 +998,23 @@ assert "csv" not in sys.modules, "csv was imported"
     assert result.returncode == 0, result.stderr
 
 
+def test_verify_imports_numpy_before_its_first_suite():
+    """Every suite's seconds leave numpy's import out: in a fresh process
+    numpy is already loaded when the first suite is called."""
+    result = run_python("-c", """\
+import sys
+from knoedel import verification
+seen = []
+def first(max_steps):
+    seen.append("numpy" in sys.modules)
+    return verification.SuiteResult("first")
+verification.normalization_and_support_suite = first
+verification.run_verification(2, 1, 100, 1)
+assert seen == [True], seen
+""")
+    assert result.returncode == 0, result.stderr
+
+
 def test_module_invocation():
     for module in ("knoedel.cli", "knoedel"):
         result = run_python("-m", module, "series", "--which", "t", "--order", "2")

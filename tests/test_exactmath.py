@@ -1,6 +1,8 @@
 """Tests for the exact series, polynomial and rational function toolkit."""
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 import pytest
 from hypothesis import assume, given
@@ -147,6 +149,109 @@ def test_recip_matches_recurrence(order, constant, tail):
     got = TruncatedSeries(a).recip()
     assert got.coeffs == tuple(recurrence_reciprocal(a))
     assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def schoolbook_compose(a, inner, length):
+    """sum_k a_k inner^k to ``length`` coefficients, by schoolbook powers."""
+    out = [Fraction(0)] * length
+    power = [Fraction(1)] + [Fraction(0)] * (length - 1)
+    for c in a[:length]:
+        out = [x + Fraction(c) * y for x, y in zip(out, power)]
+        power = schoolbook_product(power, inner, length)
+    return out
+
+
+def trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def assert_canonical(element):
+    """Numerators over a positive denominator sharing no factor with it,
+    no trailing zero in a polynomial, and Fractions on the way out."""
+    nums, den = element._ints()
+    assert den > 0 and gcd(den, *nums) == 1, (nums, den)
+    if isinstance(element, Polynomial):
+        assert not nums or nums[-1], nums
+    assert all(type(c) is Fraction for c in element.coeffs)
+
+
+padded = st.tuples(st.lists(coefficients, min_size=1, max_size=6), st.integers(0, 3)).map(
+    lambda drawn: drawn[0] + [0] * drawn[1]
+)
+
+
+@given(padded, padded, coefficients, nonzero, sparse_tails)
+def test_ring_results_are_canonical_and_match_fraction_references(a, b, scalar, linear, tail):
+    """Every series and polynomial result is canonical, reads back the
+    Fractions of its schoolbook, recurrence or Lagrange reference, and
+    compares equal exactly to the elements built from equal Fractions.
+    Operands include zero, negative and zero-padded ones."""
+    fa, fb, n = [Fraction(c) for c in a], [Fraction(c) for c in b], min(len(a), len(b))
+    sa, sb = TruncatedSeries(a), TruncatedSeries(b)
+    inner = [Fraction(0)] + fb[1:]
+    reversible = [0, linear] + tail
+    series = [
+        (sa + sb, [x + y for x, y in zip(fa, fb)]),
+        (sa - sb, [x - y for x, y in zip(fa, fb)]),
+        (-sa, [-x for x in fa]),
+        (sa + scalar, [fa[0] + scalar] + fa[1:]),
+        (scalar - sa, [scalar - fa[0]] + [-x for x in fa[1:]]),
+        (scalar * sa, [scalar * x for x in fa]),
+        (sa * sb, schoolbook_product(fa[:n], fb[:n], n)),
+        (sa**3, schoolbook_product(schoolbook_product(fa, fa, len(a)), fa, len(a))),
+        (sa.compose(TruncatedSeries(inner)), schoolbook_compose(fa, inner, n)),
+        (TruncatedSeries(reversible).reversion(), lagrange_reversion(reversible)),
+    ]
+    if fa[0]:
+        series.append((sa.recip(), recurrence_reciprocal(fa)))
+    pa, pb = Polynomial(a), Polynomial(b)
+    polynomials = [
+        (pa + pb, [x + y for x, y in zip_longest(fa, fb, fillvalue=0)]),
+        (pa - pb, [x - y for x, y in zip_longest(fa, fb, fillvalue=0)]),
+        (-pa, [-x for x in fa]),
+        (pa + scalar, [fa[0] + scalar] + fa[1:]),
+        (scalar - pa, [scalar - fa[0]] + [-x for x in fa[1:]]),
+        (scalar * pa, [scalar * x for x in fa]),
+        (pa * pb, schoolbook_product(fa, fb, len(a) + len(b) - 1)),
+        (pa**2, schoolbook_product(fa, fa, 2 * len(a) - 1)),
+    ]
+    for got, want in series:
+        # coeff(k) forms the one Fraction asked for, not the whole tuple.
+        assert [got.coeff(k) for k in range(got.order)] == want
+        assert all(type(got.coeff(k)) is Fraction for k in range(got.order))
+        assert got._fracs is None
+        assert_canonical(got)
+        assert got.coeffs == tuple(want)
+    for got, want in polynomials:
+        assert [got.coeff(k) for k in range(len(want))] == want
+        assert got._fracs is None
+        assert_canonical(got)
+        assert got.coeffs == tuple(trimmed(want))
+    for got, _ in series:
+        for _, want in series:
+            if len(want) == got.order:
+                assert (got == TruncatedSeries(want)) is (got.coeffs == tuple(want))
+    for got, _ in polynomials:
+        for _, want in polynomials:
+            assert (got == Polynomial(want)) is (got.coeffs == tuple(trimmed(want)))
+            assert (Polynomial(want) == got) is (got.coeffs == tuple(trimmed(want)))
+
+
+def test_series_from_fractions_reads_back_without_integers():
+    """A series built from Fractions keeps them: reading it returns the
+    same Fraction objects, formed into one cached tuple, and derives no
+    integer numerators."""
+    given = tuple(Fraction(k - 2, 3 * k + 1) for k in range(6))
+    series = TruncatedSeries(given)
+    assert series.coeffs == given
+    assert all(got is want for got, want in zip(series.coeffs, given))
+    assert series.coeff(4) is given[4]
+    assert series.coeffs is series.coeffs
+    assert series._nums is None
+    assert_canonical(series * 1)
 
 
 def test_series_constructor_pads_and_truncates():
