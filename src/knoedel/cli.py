@@ -13,10 +13,17 @@ formulas, ``f0`` and ``g0`` too (``closedforms.f0_series`` and
 suites check.
 
 Each printing command builds its rows as tuples under a fixed header
-and hands them to ``_emit``, one writer for both formats: it gives the
-bytes of ``csv.writer`` (``QUOTE_MINIMAL``, lines ended by "\n") or of
-``json.dumps`` with ``indent=2`` for the same rows as dicts, and
-imports neither module's writer.  It classifies each column once: ints
+and hands them to ``_emit``, one writer for both formats, which imports
+neither module's writer.  JSON is the bytes of ``json.dumps`` with
+``indent=2`` for the same rows as dicts.  CSV follows one rule: each
+line, the header's too, is its fields joined by commas and ended by
+"\n"; a field is the ``str`` of its value, quoted with its quotes
+doubled when it holds a comma, a double quote or "\n", or when it is
+the empty only field of its line; a carriage return or NUL is written
+as it is.  That is what ``csv.writer`` with ``QUOTE_MINIMAL`` and lines
+ended by "\n" writes on Python 3.11 and 3.12; the ``csv`` of 3.13 also
+quotes a field that holds a carriage return, and that of 3.10 refuses a
+NUL.  No command prints either.  ``_emit`` classifies each column once: ints
 go into the row template through ``%d``; strs as they are where one
 regex search over the column finds nothing to quote or escape; in CSV,
 bools and floats as they are too, since csv writes them by ``str``; and
@@ -256,9 +263,9 @@ def _field(value: object, is_json: bool, lone: bool) -> str:
 
 
 def _emit(rows: list[tuple], fmt: str, header: tuple[str, ...]) -> None:
-    """Write one or more ``rows`` under ``header`` as ``csv.writer`` with
-    lines ended by "\\n", or as ``json.dumps(..., indent=2)`` of the rows
-    as dicts and a newline, for str, int, bool and finite float values."""
+    """Write one or more ``rows`` under ``header`` as CSV by the rule in the
+    module docstring, or as ``json.dumps(..., indent=2)`` of the rows as
+    dicts and a newline, for str, int, bool and finite float values."""
     is_json, lone = fmt == "json", fmt == "csv" and len(header) == 1
     convert = functools.partial(_field, is_json=is_json, lone=lone)
     slots = []

@@ -27,16 +27,18 @@ table of slots off it, which both the forward dynamic program
 (``dp_numerators``) and the simulation run on.  For p = a/b the DP
 carries integer numerators over b^e, e = ``denominator_power``, the red
 edge weighing a and the black edge b - a, and yields each step's nonzero
-numerators in support order.  ``dp_table`` and ``dp_distribution`` form
-``Fraction``s from it; ``dp_distribution`` forms only the last row.  A
-brute-force sum over all coin sequences (``brute_force_distribution``),
-walked depth first through ``step`` with integer path counts, is the
-oracle it is checked against.
+numerators in support order.  ``dp_table`` and ``dp_distribution`` keep
+those rows as they are, each a ``StepDistribution`` of integer numerators
+over its b^e; ``dp_distribution`` keeps only the last row.  A brute-force
+sum over all coin sequences (``brute_force_distribution``), walked depth
+first through ``step`` with integer path counts, is the oracle it is
+checked against; its masses sit over b^steps.  A ``Fraction`` is formed
+only where a mass is read: ``prob``, ``probabilities`` and ``total``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
@@ -55,8 +57,6 @@ class _BetaState:
 BETA = _BetaState()
 
 State = Union[int, _BetaState]
-
-_ZERO = Fraction(0)
 
 
 def state_sort_key(state: State) -> tuple[int, int]:
@@ -141,20 +141,31 @@ class WalkModel:
 
 @dataclass
 class StepDistribution:
-    """Exact distribution of the walk after a fixed number of steps."""
+    """Exact distribution of the walk after ``step`` steps: state s has
+    mass ``numerators[s] / den``.
+
+    Only states with mass have a numerator.  The masses are read as
+    ``Fraction``s, each formed on read.
+    """
 
     step: int
-    probabilities: dict[State, Fraction] = field(default_factory=dict)
+    den: int
+    numerators: dict[State, int]
+
+    @property
+    def probabilities(self) -> dict[State, Fraction]:
+        den = self.den
+        return {state: Fraction(m, den) for state, m in self.numerators.items()}
 
     def prob(self, state: State) -> Fraction:
-        return self.probabilities.get(state, _ZERO)
+        return Fraction(self.numerators.get(state, 0), self.den)
 
     def support(self) -> list[State]:
         """States with mass, BETA last; no route stores a zero mass."""
-        return sorted(self.probabilities, key=state_sort_key)
+        return sorted(self.numerators, key=state_sort_key)
 
     def total(self) -> Fraction:
-        return sum(self.probabilities.values(), _ZERO)
+        return Fraction(sum(self.numerators.values()), self.den)
 
 
 def successor_table(model: WalkModel, steps: int) -> tuple[list[State], list[int]]:
@@ -219,11 +230,9 @@ def dp_numerators(
 
 
 def _dp_rows(model: WalkModel, first: int, last: int) -> list[StepDistribution]:
-    """Step distributions first..last, the fractions formed from
-    ``dp_numerators``."""
+    """Step distributions first..last, the rows of ``dp_numerators``."""
     return [
-        StepDistribution(n, {state: Fraction(m, den) for state, m in row})
-        for n, den, row in dp_numerators(model, first, last)
+        StepDistribution(n, den, dict(row)) for n, den, row in dp_numerators(model, first, last)
     ]
 
 
@@ -248,7 +257,7 @@ def brute_force_distribution(model: WalkModel, steps: int) -> StepDistribution:
     that share a prefix share its steps and at most steps + 1 branches
     wait at any time.  Each leaf counts one path by (state, reds).  For p = a/b a
     path with r reds weighs a^r (b-a)^(steps-r) / b^steps, so each state's
-    mass is one ``Fraction`` over b^steps, formed after the walk.
+    mass is one integer numerator over b^steps, summed after the walk.
     """
     if steps < 0:
         raise ValueError("step count must be non-negative")
@@ -269,8 +278,7 @@ def brute_force_distribution(model: WalkModel, steps: int) -> StepDistribution:
     for (state, reds), count in paths.items():
         weight = count * red_weight**reds * black_weight ** (steps - reds)
         masses[state] = masses.get(state, 0) + weight
-    den = model.p.denominator**steps
-    return StepDistribution(steps, {state: Fraction(m, den) for state, m in masses.items()})
+    return StepDistribution(steps, model.p.denominator**steps, masses)
 
 
 def residue_class(model: WalkModel, state: State) -> int:

@@ -10,8 +10,15 @@ checking; failures carry enough context to locate the disagreement.
 
 Every suite returns a ``SuiteResult``: the suite calls its ``check``
 once per comparison, which counts the check and keeps the label of each
-one that fails, and ``passed`` holds while no check has failed.
-``run_verification`` also records the seconds each suite took.
+one that fails, and ``passed`` holds while no check has failed.  A label
+is passed as a function of no arguments and is built only when its check
+fails, so a passing check formats nothing.  ``run_verification`` also
+records the seconds each suite took.
+
+The normalization, oracle, recursion and closed-form-grid suites read
+the DP rows as they are stored, integer numerators over one denominator
+per row, and compare masses by cross multiplication; they form a
+``Fraction`` only for a failure label.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
+from typing import Callable
 
 from . import closedforms, montecarlo
 from .exactmath import Polynomial, TruncatedSeries
@@ -44,10 +52,10 @@ class SuiteResult:
     failures: list[str] = field(default_factory=list)
     seconds: float = 0.0
 
-    def check(self, ok: bool, label: str) -> None:
+    def check(self, ok: bool, label: Callable[[], str]) -> None:
         self.checks += 1
         if not ok:
-            self.failures.append(label)
+            self.failures.append(label())
 
     @property
     def passed(self) -> bool:
@@ -69,57 +77,74 @@ def normalization_and_support_suite(max_steps: int = 30) -> SuiteResult:
     for model in _both_models():
         for row in dp_table(model, max_steps):
             n = row.step
-            suite.check(row.total() == 1, f"{model.name} step {n}: total {row.total()}")
+            suite.check(
+                sum(row.numerators.values()) == row.den,
+                lambda: f"{model.name} step {n}: total {row.total()}",
+            )
             for state in row.support():
                 suite.check(
                     residue_class(model, state) == n % 3,
-                    f"{model.name} step {n}: state {state} outside residue class",
+                    lambda: f"{model.name} step {n}: state {state} outside residue class",
                 )
                 if isinstance(state, int):
                     suite.check(
                         state <= frontier(model, n),
-                        f"{model.name} step {n}: state {state} beyond frontier",
+                        lambda: f"{model.name} step {n}: state {state} beyond frontier",
                     )
     return suite
 
 
 def oracle_equivalence_suite(max_steps: int = 12) -> SuiteResult:
-    """Forward DP equals brute-force path enumeration."""
+    """Forward DP equals brute-force path enumeration: the same states, and
+    the same masses by cross multiplication, since the two routes put a
+    row over different powers of p's denominator."""
     suite = SuiteResult("oracle-equivalence")
     cap = min(max_steps, BRUTE_FORCE_LIMIT)
     for model in _both_models():
         rows = dp_table(model, cap)
         for n in range(cap + 1):
-            brute = brute_force_distribution(model, n)
+            dp, brute = rows[n], brute_force_distribution(model, n)
             suite.check(
-                rows[n].probabilities == brute.probabilities,
-                f"{model.name} step {n}: dp and brute force disagree",
+                dp.numerators.keys() == brute.numerators.keys()
+                and all(
+                    m * brute.den == brute.numerators[state] * dp.den
+                    for state, m in dp.numerators.items()
+                ),
+                lambda: f"{model.name} step {n}: dp and brute force disagree",
             )
     return suite
 
 
 def recursion_fidelity_suite(max_steps: int = 30) -> SuiteResult:
-    """DP rows satisfy the incoming-edge recursions written out by hand."""
+    """DP rows satisfy the incoming-edge recursions written out by hand.
+
+    For p = a/b the recursions weigh the previous row's numerators by a
+    (red), c = b - a (black) and b (either colour), so each expected mass
+    sits over b times the previous row's denominator.
+    """
     suite = SuiteResult("recursion-fidelity")
     for model in _both_models():
-        p, q = model.p, model.q
+        b = model.p.denominator
+        a, c = model.p.numerator, b - model.p.numerator
         rows = dp_table(model, max_steps)
         for n in range(1, max_steps + 1):
             prev, cur = rows[n - 1], rows[n]
+            m = prev.numerators.get
             if model.kind is ModelKind.DOUBLE_LARGE:
-                expected = {0: q * prev.prob(1), BETA: q * prev.prob(0),
-                            1: prev.prob(BETA) + q * prev.prob(2)}
+                expected = {0: c * m(1, 0), BETA: c * m(0, 0),
+                            1: b * m(BETA, 0) + c * m(2, 0)}
                 for i in range(2, 2 * n + 1):
-                    expected[i] = p * prev.prob(i - 2) + q * prev.prob(i + 1)
+                    expected[i] = a * m(i - 2, 0) + c * m(i + 1, 0)
             else:
-                expected = {0: prev.prob(BETA) + q * prev.prob(2), BETA: q * prev.prob(1),
-                            1: prev.prob(0) + q * prev.prob(3)}
+                expected = {0: b * m(BETA, 0) + c * m(2, 0), BETA: c * m(1, 0),
+                            1: b * m(0, 0) + c * m(3, 0)}
                 for i in range(2, n + 1):
-                    expected[i] = p * prev.prob(i - 1) + q * prev.prob(i + 2)
+                    expected[i] = a * m(i - 1, 0) + c * m(i + 2, 0)
+            got, scale, den = cur.numerators.get, prev.den * b, cur.den
             for state, mass in expected.items():
                 suite.check(
-                    cur.prob(state) == mass,
-                    f"{model.name} step {n}: state {state} breaks the recursion",
+                    got(state, 0) * scale == mass * den,
+                    lambda: f"{model.name} step {n}: state {state} breaks the recursion",
                 )
     return suite
 
@@ -131,12 +156,13 @@ def closed_form_grid_suite(max_steps: int = 30) -> SuiteResult:
         rows = dp_table(model, max_steps)
         for n in range(max_steps + 1):
             row = rows[n]
+            dp, den = row.numerators.get, row.den
             states = list(range(frontier(model, n) + 1)) + [BETA]
             for state in states:
                 got = closedforms.closed_form_probability(model, state, n)
                 suite.check(
-                    got == row.prob(state),
-                    f"{model.name} step {n} state {state}: "
+                    got.numerator * den == dp(state, 0) * got.denominator,
+                    lambda: f"{model.name} step {n} state {state}: "
                     f"closed form {got} != dp {row.prob(state)}",
                 )
     return suite
@@ -150,19 +176,19 @@ def series_suite(order: int = 30) -> SuiteResult:
     x_poly = closedforms.x_of_t()
     x_series = TruncatedSeries(x_poly.coeffs, order)
 
-    suite.check(t == x_series.reversion(), "t series differs from reversion of x(t)")
+    suite.check(t == x_series.reversion(), lambda: "t series differs from reversion of x(t)")
     identity = TruncatedSeries.identity(order)
-    suite.check(x_series.compose(t) == identity, "x(t(x)) is not the identity")
-    suite.check(t.compose(x_series) == identity, "t(x(t)) is not the identity")
+    suite.check(x_series.compose(t) == identity, lambda: "x(t(x)) is not the identity")
+    suite.check(t.compose(x_series) == identity, lambda: "t(x(t)) is not the identity")
 
     inv = closedforms.inv_one_minus_t_series(order)
-    suite.check(inv == (1 - t).recip(), "1/(1-t) series differs from direct reciprocal")
+    suite.check(inv == (1 - t).recip(), lambda: "1/(1-t) series differs from direct reciprocal")
 
     bad = closedforms.bad_factor_root_series(order)
-    suite.check(bad == Fraction(2, 3) * inv, "bad factor is not 2/3 of 1/(1-t)")
+    suite.check(bad == Fraction(2, 3) * inv, lambda: "bad factor is not 2/3 of 1/(1-t)")
     suite.check(
         bad == closedforms.bad_factor_root_rational().expand(t),
-        "bad factor series differs from its rational function",
+        lambda: "bad factor series differs from its rational function",
     )
 
     blocks = min(order - 1, 10)
@@ -173,11 +199,11 @@ def series_suite(order: int = 30) -> SuiteResult:
     for n_blocks in range(blocks + 1):
         suite.check(
             f0.coeff(n_blocks) == large[3 * n_blocks].prob(0),
-            f"f0 coefficient {n_blocks} differs from dp",
+            lambda: f"f0 coefficient {n_blocks} differs from dp",
         )
         suite.check(
             g0.coeff(n_blocks) == small[3 * n_blocks].prob(0),
-            f"g0 coefficient {n_blocks} differs from dp",
+            lambda: f"g0 coefficient {n_blocks} differs from dp",
         )
     return suite
 
@@ -186,7 +212,7 @@ def kernel_identity_suite() -> SuiteResult:
     """The three exact kernel identities."""
     suite = SuiteResult("kernel-identities")
     for item in closedforms.kernel_identity_results():
-        suite.check(item.holds, f"{item.name}: {item.detail}")
+        suite.check(item.holds, lambda: f"{item.name}: {item.detail}")
     return suite
 
 
@@ -208,11 +234,11 @@ def girard_waring_suite() -> SuiteResult:
     for m in range(GIRARD_WARING_MAX_POWER + 1):
         suite.check(
             closedforms.girard_waring_power_sum(m) == power_sums[m],
-            f"power sum {m} differs from recurrence",
+            lambda: f"power sum {m} differs from recurrence",
         )
         suite.check(
             closedforms.girard_waring_quotient(m) == quotients[m],
-            f"difference quotient {m} differs from recurrence",
+            lambda: f"difference quotient {m} differs from recurrence",
         )
     return suite
 
@@ -229,7 +255,7 @@ def column_consistency_suite(max_blocks: int) -> SuiteResult:
             want = closedforms.f_state_coeff(n, m) if n >= 0 else Fraction(0)
             suite.check(
                 expansion.coeff(n_blocks) == want,
-                f"double-large column {m} block {n_blocks}: expansion != coefficient",
+                lambda: f"double-large column {m} block {n_blocks}: expansion != coefficient",
             )
     for j in range(MAX_COLUMN + 1):
         expansion = closedforms.g_u_coeff(j).expand(t)
@@ -237,18 +263,18 @@ def column_consistency_suite(max_blocks: int) -> SuiteResult:
             want = closedforms.g_state_coeff(3 * n_blocks + j, j)
             suite.check(
                 expansion.coeff(n_blocks) == want,
-                f"double-small column {j} block {n_blocks}: expansion != coefficient",
+                lambda: f"double-small column {j} block {n_blocks}: expansion != coefficient",
             )
     for n_blocks in range(max_blocks + 1):
         suite.check(
             closedforms.fbeta_coeff(n_blocks)
             == Fraction(2, 3) * closedforms.f_state_coeff(3 * n_blocks, 0),
-            f"double-large BETA block {n_blocks} breaks the one-step relation",
+            lambda: f"double-large BETA block {n_blocks} breaks the one-step relation",
         )
         suite.check(
             closedforms.gbeta_coeff(n_blocks)
             == Fraction(1, 3) * closedforms.g_state_coeff(3 * n_blocks + 1, 1),
-            f"double-small BETA block {n_blocks} breaks the one-step relation",
+            lambda: f"double-small BETA block {n_blocks} breaks the one-step relation",
         )
     return suite
 
@@ -264,7 +290,7 @@ def simulation_suite(trials: int, seed: int) -> SuiteResult:
         for cell in montecarlo.four_sigma_report(empirical, exact):
             suite.check(
                 cell.within,
-                f"{model.name} step {SIMULATION_STEPS} state {cell.state}: "
+                lambda: f"{model.name} step {SIMULATION_STEPS} state {cell.state}: "
                 f"deviation {float(cell.deviation):.2e} exceeds 4-sigma {cell.bound:.2e}",
             )
     return suite

@@ -1,5 +1,7 @@
 """Tests for the walk models, their DP and the brute-force oracle."""
 
+import csv
+import io
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -7,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knoedel import verification
+from knoedel import cli, verification
 from knoedel.models import (
     BETA,
+    ModelKind,
     WalkModel,
     brute_force_distribution,
     denominator_power,
@@ -176,6 +179,46 @@ def test_double_large_recursion_for_any_probability(p):
 def test_double_small_recursion_for_any_probability(p):
     walks = [WalkModel.double_small(p)]
     assert_passes_on(walks, verification.recursion_fidelity_suite, 7)
+
+
+def test_each_dp_suite_catches_one_wrong_numerator(monkeypatch):
+    """One numerator unit too many at one state of one double-small row
+    fails every suite that reads the DP rows, and each first failure label
+    names the walk, the step and, where the suite compares states, the
+    state, with the masses in lowest terms."""
+
+    def bumped(model, max_steps):
+        rows = dp_table(model, max_steps)
+        if model.kind is ModelKind.DOUBLE_SMALL:
+            assert rows[5].den == 81 and rows[5].numerators[2] == 46
+            rows[5].numerators[2] += 1
+        return rows
+
+    monkeypatch.setattr(verification, "dp_table", bumped)
+    for suite, label in [
+        ("normalization_and_support_suite", "double-small step 5: total 82/81"),
+        ("oracle_equivalence_suite", "double-small step 5: dp and brute force disagree"),
+        ("recursion_fidelity_suite", "double-small step 5: state 2 breaks the recursion"),
+        ("closed_form_grid_suite", "double-small step 5 state 2: closed form 46/81 != dp 47/81"),
+    ]:
+        result = getattr(verification, suite)(9)
+        assert not result.passed, suite
+        assert result.failures[0] == label
+
+
+# Checks per suite, in ``run_verification``'s order, for ``verify`` at its
+# default sizes and with a larger step count.
+VERIFY_CHECKS = {
+    (): (1096, 26, 1515, 1519, 28, 3, 82, 252, 8),
+    ("--max-steps", "50"): (2822, 26, 4025, 4029, 28, 3, 82, 252, 8),
+}
+
+
+@pytest.mark.parametrize("sizes", list(VERIFY_CHECKS), ids=["defaults", "max-steps-50"])
+def test_every_suite_keeps_its_check_count(capsys, sizes):
+    assert cli.main(["verify", "--format", "csv", *sizes]) == 0
+    rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert tuple(int(row["checks"]) for row in rows) == VERIFY_CHECKS[sizes]
 
 
 def test_residue_class_values():

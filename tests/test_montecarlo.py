@@ -178,7 +178,7 @@ def test_four_sigma_report_small_run_within_bounds():
 
 
 def test_four_sigma_report_flags_impossible_state():
-    exact = StepDistribution(2, {1: Fraction(8, 9), 4: Fraction(1, 9)})
+    exact = StepDistribution(2, 9, {1: 8, 4: 1})
     fabricated = EmpiricalDistribution(2, 100, 0, {1: 88, 4: 10, 7: 2})
     report = four_sigma_report(fabricated, exact)
     offender = [cell for cell in report if cell.state == 7]
@@ -196,7 +196,7 @@ def test_four_sigma_report_checks_step_agreement():
 
 def test_four_sigma_decision_is_exact():
     """The within flag uses the squared rational inequality, not floats."""
-    exact = StepDistribution(0, {0: Fraction(1)})
+    exact = StepDistribution(0, 1, {0: 1})
     empirical = EmpiricalDistribution(0, 4, 0, {0: 4})
     cell = four_sigma_report(empirical, exact)[0]
     assert cell.within and cell.deviation == 0 and cell.bound == 0.0
