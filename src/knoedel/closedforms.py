@@ -20,11 +20,12 @@ Everything downstream of the kernel lives in these objects:
 * step probabilities of either walk at a numbered state or at BETA,
   as explicit single or double binomial sums, added up over the integers
   and divided by their power of 3 once,
-* the state-0 generating functions f0 and g0, read off their closed
-  coefficient sums (``f0_series``, ``g0_series``, which the CLI prints)
-  and, as the independent route checked against them, obtained by
-  composing a rational function of t with the reversion t(x)
-  (``f0_series_from_t``, ``g0_series_from_t``),
+* the x-expansions the CLI prints, t(x), 1/(1-t), the bad-factor root
+  U1 and the state-0 generating functions f0 and g0, each stepped by its
+  exact term recurrence (below),
+* f0 and g0 again, as the independent route checked against those
+  recurrences: a rational function of t composed with the reversion
+  t(x) (``f0_series_from_t``, ``g0_series_from_t``),
 * the per-state rational functions of t whose x-expansions reproduce
   the binomial-sum coefficients column by column,
 * Girard-Waring closed sums for sigma^m + tau^m and the difference
@@ -35,6 +36,19 @@ Everything downstream of the kernel lives in these objects:
 
 Series in this module are expansions in x unless a name says otherwise;
 ``t_series`` is the bridge, the compositional inverse of x(t).
+
+The five printed series are algebraic in x, so their coefficients obey
+linear recurrences with polynomial coefficients.  Each series function
+holds the integer numerator of [x^k] over 27^k (over 3 27^k for U1) and
+steps it from the one or two before it by products with small
+polynomials in k and one exact ``//``.  A series of order n thus costs
+O(n) products of a big integer by a small one, and one ``Fraction`` per
+coefficient, not a binomial or an O(k) sum per coefficient.  t, 1/(1-t),
+U1 and f0 are hypergeometric (first order); each step reproduces the
+binomial closed formula its docstring names, ``f_state_coeff(3N, 0)``
+for f0.  g0 needs a second-order recurrence, which reproduces
+``g0_coeff(N)``.  The closed formulas themselves stay for ``coeff`` and
+the verification suites.
 
 All closed forms assume the balanced draw probabilities (p = 1/3 for
 double-large, p = 2/3 for double-small); the dispatcher
@@ -64,31 +78,54 @@ def x_of_t() -> Polynomial:
     return Fraction(27, 4) * _T * _ONE_MINUS_T**2
 
 
-def t_series(order: int) -> TruncatedSeries:
-    """Reversion t(x) of x = (27/4) t (1-t)^2, by its explicit coefficients.
-
-    [x^k] t = (1/k) C(3k-2, k-1) 2^(2k) / 3^(3k) for k >= 1.  The first
-    terms are (4/27) x + (32/729) x^2 + (448/19683) x^3 + ...  The library
-    checks this against ``x_of_t`` series reversion, so the two routes
-    stay independent.
-    """
-    coeffs = [Fraction(0)]
-    for k in range(1, order):
-        coeffs.append(binom_general(3 * k - 2, k - 1) * Fraction(2**(2 * k), k * 3**(3 * k)))
+def _over_powers_of_27(nums: list[int], order: int, den: int = 1) -> TruncatedSeries:
+    """The series sum_k nums[k] x^k / (den 27^k), with one ``Fraction``
+    per coefficient and 27^k stepped by one product."""
+    coeffs, power = [], den
+    for num in nums:
+        coeffs.append(Fraction(num, power))
+        power *= 27
     return TruncatedSeries(coeffs, order)
+
+
+def t_series(order: int) -> TruncatedSeries:
+    """Reversion t(x) of x = (27/4) t (1-t)^2, by its term recurrence.
+
+    [x^k] t = a_k / 27^k with a_0 = 0, a_1 = 4 and, for k >= 1,
+
+        a_(k+1) = a_k 6 (3k-1)(3k+1) // ((k+1)(2k+1)),
+
+    an exact division.  So a_k = 4^k C(3k-2, k-1) / k, and each step
+    reproduces the closed formula [x^k] t = (1/k) C(3k-2, k-1) 2^(2k) /
+    3^(3k).  The first terms are (4/27) x + (32/729) x^2 + (448/19683) x^3
+    + ...  The library checks this against ``x_of_t`` series reversion,
+    so the two routes stay independent.
+    """
+    nums = [0, 4][:order]
+    for k in range(1, order - 1):
+        nums.append(nums[k] * 6 * (3 * k - 1) * (3 * k + 1) // ((k + 1) * (2 * k + 1)))
+    return _over_powers_of_27(nums, order)
+
+
+def _ternary_tree_numerators(order: int) -> list[int]:
+    """b_k = 4^k C(3k, k) / (2k+1) for k < ``order``, by b_0 = 1 and the
+    exact division b_(k+1) = b_k 6 (3k+1)(3k+2) // ((k+1)(2k+3)).
+    C(3k, k) / (2k+1) counts the ternary trees with k internal nodes."""
+    nums = [1]
+    for k in range(order - 1):
+        nums.append(nums[k] * 6 * (3 * k + 1) * (3 * k + 2) // ((k + 1) * (2 * k + 3)))
+    return nums
 
 
 def inv_one_minus_t_series(order: int) -> TruncatedSeries:
-    """Expansion of 1 / (1 - t(x)) in x.
+    """Expansion of 1 / (1 - t(x)) in x, by its term recurrence.
 
-    [x^k] = (1/(2k+1)) C(3k, k) 2^(2k) / 3^(3k); the constant term is 1.
-    Equals ``(1 - t_series(order)).recip()`` coefficient for coefficient.
+    [x^k] = b_k / 27^k with b_k from ``_ternary_tree_numerators``, which
+    reproduces the closed formula (1/(2k+1)) C(3k, k) 2^(2k) / 3^(3k); the
+    constant term is 1.  Equals ``(1 - t_series(order)).recip()``
+    coefficient for coefficient.
     """
-    coeffs = [
-        binom_general(3 * k, k) * Fraction(2**(2 * k), (2 * k + 1) * 3**(3 * k))
-        for k in range(order)
-    ]
-    return TruncatedSeries(coeffs, order)
+    return _over_powers_of_27(_ternary_tree_numerators(order), order)
 
 
 def bad_factor_root_rational() -> RationalFunction:
@@ -97,18 +134,17 @@ def bad_factor_root_rational() -> RationalFunction:
 
 
 def bad_factor_root_series(order: int) -> TruncatedSeries:
-    """Expansion of the bad-factor root 2 / (3(1 - t(x))) in x.
+    """Expansion of the bad-factor root 2 / (3(1 - t(x))) in x, by its
+    term recurrence.
 
-    [x^k] = (1/(2k+1)) C(3k, k) 2^(2k+1) / 3^(3k+1), starting 2/3 + (8/81) x
-    + ...  This is exactly 2/3 times ``inv_one_minus_t_series``; keeping the
-    two normalizations separate is the point, since conflating them scales
-    every downstream probability by 2/3.
+    [x^k] = 2 b_k / (3 27^k) with b_k from ``_ternary_tree_numerators``,
+    which reproduces the closed formula (1/(2k+1)) C(3k, k) 2^(2k+1) /
+    3^(3k+1), starting 2/3 + (8/81) x + ...  This is exactly 2/3 times
+    ``inv_one_minus_t_series``; keeping the two normalizations separate is
+    the point, since conflating them scales every downstream probability
+    by 2/3.
     """
-    coeffs = [
-        binom_general(3 * k, k) * Fraction(2**(2 * k + 1), (2 * k + 1) * 3**(3 * k + 1))
-        for k in range(order)
-    ]
-    return TruncatedSeries(coeffs, order)
+    return _over_powers_of_27([2 * b for b in _ternary_tree_numerators(order)], order, 3)
 
 
 def f0_rational() -> RationalFunction:
@@ -118,14 +154,23 @@ def f0_rational() -> RationalFunction:
 
 
 def f0_series(order: int) -> TruncatedSeries:
-    """x-expansion of f0, read off its closed coefficients; [x^N] is the
-    probability of state 0 after 3N steps of the double-large walk,
+    """x-expansion of f0 by its term recurrence; [x^N] is the probability
+    of state 0 after 3N steps of the double-large walk.
+
+    [x^N] = F_N / 27^N with F_0 = 1 and the exact division
+
+        F_(N+1) = F_N 6 (3N+2)(3N+4) // ((N+1)(2N+3)),
+
+    so F_N = 4^N C(3N+1, N), and each step reproduces the closed sum
     ``f_state_coeff(3N, 0)`` = 2^(2N) C(3N+1, N) / 3^(3N).
 
     This is what ``series --which f0`` prints.  ``f0_series_from_t`` is
-    the independent route: the tests check it against these sums at
+    the independent route: the tests check it against this recurrence at
     order 200, and ``series_suite`` checks it against the DP."""
-    return TruncatedSeries([f_state_coeff(3 * n, 0) for n in range(order)], order)
+    nums = [1]
+    for n in range(order - 1):
+        nums.append(nums[n] * 6 * (3 * n + 2) * (3 * n + 4) // ((n + 1) * (2 * n + 3)))
+    return _over_powers_of_27(nums, order)
 
 
 def f0_series_from_t(order: int) -> TruncatedSeries:
@@ -141,14 +186,32 @@ def g0_rational() -> RationalFunction:
 
 
 def g0_series(order: int) -> TruncatedSeries:
-    """x-expansion of g0, read off its closed coefficients; [x^N] is the
-    probability of state 0 after 3N steps of the double-small walk,
-    ``g0_coeff(N)``.
+    """x-expansion of g0 by its term recurrence; [x^N] is the probability
+    of state 0 after 3N steps of the double-small walk.
+
+    [x^N] = S(N) / 27^N, where S(N) = ``_g_sum(N, 0)`` is the integer
+    behind ``g0_coeff(N)``.  S(0) = 1, S(1) = 15 and
+
+        (N+2)(2N+3) S(N+2) = 3 (36N^2 + 99N + 70) S(N+1)
+                             - 162 (3N+2)(3N+4) S(N),
+
+    so each coefficient takes two products and one exact division, not
+    an O(N) sum.  g0 is algebraic in x, so its coefficients satisfy some
+    linear recurrence with polynomial coefficients.  This one was found
+    by solving for three quadratic coefficients from the first 62 sums
+    (60 equations), whose solutions form a one-dimensional space; it is
+    not proved here.
+    The tests check it against ``g0_coeff`` at every N below 400, twice
+    the CLI's order cap.
 
     This is what ``series --which g0`` prints.  ``g0_series_from_t`` is
-    the independent route: the tests check it against these sums at
+    the independent route: the tests check it against this recurrence at
     order 200, and ``series_suite`` checks it against the DP."""
-    return TruncatedSeries([g0_coeff(n) for n in range(order)], order)
+    nums = [1, 15][:order]
+    for n in range(order - 2):
+        nums.append((3 * (36 * n * n + 99 * n + 70) * nums[n + 1]
+                     - 162 * (3 * n + 2) * (3 * n + 4) * nums[n]) // ((n + 2) * (2 * n + 3)))
+    return _over_powers_of_27(nums, order)
 
 
 def g0_series_from_t(order: int) -> TruncatedSeries:

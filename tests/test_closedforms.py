@@ -8,12 +8,14 @@ against independent oracles: the paper's own sums and product forms.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from knoedel import closedforms as cf
+from knoedel.cli import SERIES_ORDER_CAP
 from knoedel.exactmath import Polynomial, RationalFunction, binom_general
 from knoedel.models import WalkModel, frontier
 
@@ -208,11 +210,35 @@ def test_f0_and_g0_rational_shapes():
 
 
 def test_closed_sum_series_equal_the_expansions_at_the_cli_order():
-    """The CLI prints f0 and g0 off their closed sums, so the expansions at
-    t(x), the route it does not print, are checked at its full order."""
+    """The CLI prints f0 and g0 off their term recurrences, so the
+    expansions at t(x), the route it does not print, are checked at its
+    full order."""
     order = 200  # cli.SERIES_ORDER_CAP
     assert cf.f0_series(order).coeffs == cf.f0_series_from_t(order).coeffs
     assert cf.g0_series(order).coeffs == cf.g0_series_from_t(order).coeffs
+
+
+# Each series token's per-coefficient closed formula, written with
+# math.comb, against which its term recurrence is checked.
+SERIES_FORMULAS = {
+    "t": (cf.t_series,
+          lambda k: Fraction(comb(3 * k - 2, k - 1) * 2 ** (2 * k), k * 3 ** (3 * k)) if k else 0),
+    "inv1mt": (cf.inv_one_minus_t_series,
+               lambda k: Fraction(comb(3 * k, k) * 2 ** (2 * k), (2 * k + 1) * 3 ** (3 * k))),
+    "u1": (cf.bad_factor_root_series,
+           lambda k: Fraction(comb(3 * k, k) * 2 ** (2 * k + 1), (2 * k + 1) * 3 ** (3 * k + 1))),
+    "f0": (cf.f0_series, lambda n: cf.f_state_coeff(3 * n, 0)),
+    "g0": (cf.g0_series, cf.g0_coeff),
+}
+
+
+@pytest.mark.parametrize("which", sorted(SERIES_FORMULAS))
+def test_series_recurrences_reproduce_the_closed_formulas(which):
+    """Every coefficient below twice the CLI's order cap, and the shortest
+    orders, where a second-order recurrence has only its first terms."""
+    series, formula = SERIES_FORMULAS[which]
+    for order in (1, 2, 2 * SERIES_ORDER_CAP):
+        assert series(order).coeffs == tuple(formula(k) for k in range(order)), order
 
 
 def test_column_zero_degenerates_to_state_zero_functions():
