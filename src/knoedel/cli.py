@@ -25,16 +25,26 @@ as it is.  That is what ``csv.writer`` with ``QUOTE_MINIMAL`` and lines
 ended by "\n" writes on Python 3.11 and 3.12; the ``csv`` of 3.13 also
 quotes a field that holds a carriage return, and that of 3.10 refuses a
 NUL.  No command prints either.  ``_emit`` classifies each column once: ints
-go into the row template through ``%d``; strs as they are where one
-regex search over the column finds nothing to quote or escape; in CSV,
-bools and floats as they are too, since csv writes them by ``str``; and
-any other column value by value.  Each row is then one ``%`` of the
-template with the row tuple.
+go into the row template through ``%d``; strs as they are where the
+column, joined into one string, is plain (``_plain``, str methods and no
+regex: in JSON printable ASCII without ``"`` or a backslash, which
+``json.dumps`` writes as it is; in CSV no comma, ``"`` or "\n"); in
+CSV, bools and floats as they are too, since csv writes them by
+``str``; and any other column value by value.  Each row is then one
+``%`` of the template with the row tuple.
 Rounding divides through one cached decimal context per digit count.
-``table`` reads the DP's integer numerators over b**n for p = a/b
-(``models.dp_numerators``) straight into its rows: one gcd per mass for
-the num and den columns, and one decimal divisor per step.  The other
-commands round a ``Fraction`` through ``decimal_string``.
+``table`` reads the DP's integer numerators over b**e for p = a/b
+(``models.dp_numerators``, e = ``models.denominator_power``) straight
+into its rows, with one decimal divisor per step, and reduces each mass
+for the num and den columns by a gcd against one word
+(``_lowest_terms``): with k the largest integer of at least 1 for which
+b**k fits one 30-bit digit of Python's int, g = gcd(m, b**min(e, k)),
+which costs a remainder and a word gcd, not a gcd of two long numbers.
+Since gcd(m, b**e) = g * gcd(m/g, b**e/g) and every prime factor of
+b**e/g divides b, g is the whole gcd when m/g is coprime to b; when it
+is not, which needs a composite b or a valuation past k, the full gcd
+is taken.  The other commands round a ``Fraction`` through
+``decimal_string``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Every
 cap is a constant.  ``table --steps``, ``simulate --steps`` and ``verify
@@ -249,8 +259,15 @@ def _table_text(model: WalkModel, steps: int, digits: int, fmt: str) -> int:
     )
 
 
-# Characters json.dumps escapes (all but printable ASCII bar " \) or csv quotes.
-_SPECIAL = {"json": re.compile(r'[^ !#-\[\]-~]'), "csv": re.compile(r'[,"\n]')}
+def _plain(text: str, is_json: bool) -> bool:
+    """Whether ``json.dumps`` writes ``text`` as it is between its quotes
+    (printable ASCII bar ``"`` and backslash), or csv writes it unquoted
+    (no comma, ``"`` or newline)."""
+    if is_json:
+        return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+    return "," not in text and '"' not in text and "\n" not in text
+
+
 _JSON_VALUE = {str: encode_basestring_ascii, bool: ("false", "true").__getitem__}
 
 
@@ -259,7 +276,7 @@ def _field(value: object, is_json: bool, lone: bool) -> str:
     if is_json:
         return _JSON_VALUE.get(value.__class__, repr)(value)
     text = str(value)
-    quote = _SPECIAL["csv"].search(text) or (lone and not text)
+    quote = not _plain(text, False) or (lone and not text)
     return '"' + text.replace('"', '""') + '"' if quote else text
 
 
@@ -273,7 +290,7 @@ def _emit(rows: list[tuple], fmt: str, header: tuple[str, ...]) -> None:
     for i in range(len(header)):
         column = functools.partial(map, itemgetter(i), rows)
         kinds = set(map(type, column()))
-        plain = kinds == {str} and not lone and not _SPECIAL[fmt].search("".join(column()))
+        plain = kinds == {str} and not lone and _plain("".join(column()), is_json)
         # As they are: plain strs, and in CSV numbers and bools, which csv writes by str().
         bare = plain or not (is_json or str in kinds)
         slots.append("%d" if kinds == {int} else ('"%s"' if is_json else "%s") if bare else None)
@@ -295,6 +312,33 @@ def _emit(rows: list[tuple], fmt: str, header: tuple[str, ...]) -> None:
     sys.stdout.write(tail)
 
 
+# Python's ints are stored in 30-bit digits: a number below this is one digit.
+_WORD = 1 << 30
+
+
+def _word_power(base: int) -> int:
+    """The largest k of at least 1 with base**k below ``_WORD``, for base >= 2."""
+    k = 1
+    while base ** (k + 1) < _WORD:
+        k += 1
+    return k
+
+
+def _lowest_terms(m: int, den: int, word: int, base: int) -> tuple[int, int]:
+    """m / den in lowest terms, as (numerator, denominator), for m >= 0,
+    den = base**e and ``word`` a divisor of den, in ``table``
+    base**min(e, ``_word_power(base)``).
+
+    g = gcd(m, word) is a remainder and a word gcd when word is one
+    digit, and gcd(m, den) = g * gcd(m/g, den/g).  Every prime factor of
+    den/g divides base, so g is the whole gcd when m/g is coprime to
+    base; otherwise the full gcd is taken."""
+    g = gcd(m, word)
+    if gcd(m // g, base) > 1:
+        g = gcd(m, den)
+    return m // g, den // g
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     _check_steps(args.steps, "steps", STEP_CAP)
     model = _model_from(args)
@@ -314,15 +358,18 @@ def cmd_table(args: argparse.Namespace) -> int:
         )
     name = model.name
     divide = _context(args.digits).divide
+    k = _word_power(base)
     rows = []
-    # Each step-n mass is m / b**n: one gcd reduces it for the num and
-    # den columns, and m divided by b**n rounds to the same decimal as the
-    # reduced quotient, since both operands have exponent 0.
+    # Each step-n mass is m / b**e: ``_lowest_terms`` reduces it for the
+    # num and den columns, and m divided by b**e rounds to the same
+    # decimal as the reduced quotient, since both operands have exponent 0.
     for n, den, row in dp_numerators(model, 0, args.steps):
         divisor = Decimal(den)
+        word = base ** min(denominator_power(model, n), k)
         rows += [
-            (name, n, str(state), m // (g := gcd(m, den)), den // g, str(divide(m, divisor)))
+            (name, n, str(state), num, low, str(divide(m, divisor)))
             for state, m in row
+            for num, low in (_lowest_terms(m, den, word, base),)
         ]
     _emit(rows, args.format, TABLE_HEADER)
     return 0

@@ -163,6 +163,15 @@ def headers_and_rows(draw):
 @example((("a", "b"), [("x", "\u00e9t\u00e9"), ("y", "3")]))
 @example((("big", "small"), [(10**80, -(10**80)), (-(10**80), 10**80)]))
 @example((("a", "b"), [("x", "nul\x00"), ("\r", "\x00")]))
+# Each edge of ``_plain``'s JSON and CSV tests, next to a plain value in its column.
+@example((("a", "b"), [("x", "\x7f"), ("y", "3")]))
+@example((("a", "b"), [("x", "\x1f"), ("y", "3")]))
+@example((("a", "b"), [("x", "~"), ("y", "3")]))
+@example((("a", "b"), [("x", " "), ("y", "3")]))
+@example((("a", "b"), [("x", "\\"), ("y", "3")]))
+@example((("a", "b"), [("x", '"'), ("y", "3")]))
+@example((("a", "b"), [("x", "\u00e9"), ("y", "3")]))
+@example((("a", "b"), [("x", ""), ("y", "3")]))
 def test_emit_matches_json_dumps_and_dict_writer(header_rows):
     """JSON is ``json.dumps``'s; CSV follows ``_emit``'s rule, and is what
     ``csv.DictWriter`` writes on a Python whose ``csv`` follows it too."""
@@ -196,7 +205,9 @@ def old_table_output(model, steps, digits, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("digits", [3, 40])
-@pytest.mark.parametrize("p", [None, "2/7"])
+# 5/6 and 1/2**31 reduce masses by ``cli._lowest_terms`` for a composite b
+# and for b past one 30-bit digit.
+@pytest.mark.parametrize("p", [None, "2/7", "5/6", "1/2147483648"])
 @pytest.mark.parametrize("model", ["double-large", "double-small"])
 def test_table_output_matches_dict_rows(capsys, model, p, digits, fmt):
     walk = (WalkModel.double_large if model == "double-large" else WalkModel.double_small)(
@@ -238,6 +249,55 @@ def test_table_matches_the_fraction_route(walk, steps, digits, fmt):
     for _, _, row in dp_numerators(walk, 0, steps):
         states = [state for state, _ in row]
         assert states == sorted(states, key=state_sort_key)
+
+
+def smallest_prime_factor(n):
+    return next((q for q in range(2, 50000) if n % q == 0), n)
+
+
+# Denominators of p for ``_lowest_terms``: primes, composites, and the
+# bases around one 30-bit digit and past it, where the word is b itself.
+REDUCTION_BASES = [2, 3, 5, 7, 31, 2**31 - 1, 6, 10, 12, 30, 6**20,
+                   2**30 - 1, 2**30, 2**31, 10**40]
+
+
+@st.composite
+def masses_over_powers(draw):
+    """(b, e, m) with 1 <= m <= b**e, often m carrying a high power of b's
+    smallest prime factor, which can outrun the word's."""
+    b = draw(st.sampled_from(REDUCTION_BASES))
+    e = draw(st.integers(min_value=0, max_value=60))
+    m = draw(st.integers(min_value=1, max_value=b**e))
+    boosted = m * smallest_prime_factor(b) ** draw(st.integers(min_value=0, max_value=200))
+    return b, e, boosted if boosted <= b**e else m
+
+
+@given(masses_over_powers())
+# Each of these takes the full gcd: a composite b whose 2s outrun e, a
+# valuation past the word's k = 18 for b = 3, and b past one digit.
+@example((6, 2, 8))
+@example((3, 40, 3**25))
+@example((6**20, 3, 2**70))
+@example((2**31, 5, 2**40))
+@example((10**40, 2, 10**50))
+# e = 0, at step 0 and at double-small's step 1: den and the word are 1.
+@example((6, 0, 1))
+def test_lowest_terms_matches_fraction(case):
+    b, e, m = case
+    den = b**e
+    k = cli._word_power(b)
+    assert k >= 1 and (b**k < cli._WORD or k == 1) and b ** (k + 1) >= cli._WORD
+    value = Fraction(m, den)
+    assert cli._lowest_terms(m, den, b ** min(e, k), b) == (value.numerator, value.denominator)
+
+
+def test_table_reduces_by_the_denominator_power_not_the_step(capsys):
+    """At double-small step 5 a mass sits over b**4, not b**5: 3168/10**4
+    reduces to 198/625 (a word of b**5 would give 99/312)."""
+    code, out, err = run_cli(capsys, "table", "--model", "double-small", "--steps", "5",
+                             "--p", "9/10")
+    assert code == 0 and err == ""
+    assert "double-small,5,2,198,625,0.3168" in out.splitlines()
 
 
 # Mid-size p: a power of ten, or a/b with a large prime b.
@@ -619,7 +679,7 @@ def test_series_tokens(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_series_f0_g0_print_their_closed_sums_at_the_order_cap(capsys, fmt):
+def test_series_f0_g0_print_their_recurrence_rows_at_the_order_cap(capsys, fmt):
     """At the order cap, ``series`` prints the bytes of rows built from
     ``f0_series`` and ``g0_series``, which tests/test_closedforms.py checks
     against the expansions at t(x)."""

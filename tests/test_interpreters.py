@@ -9,21 +9,31 @@ only the standard library: ``table``, ``coeff`` and ``series`` never
 import numpy.  Without another such interpreter the test skips.
 """
 
+import contextlib
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import knoedel
+from knoedel import cli
+from knoedel.models import WalkModel, dp_numerators
 
 MINIMUM = (3, 10, 7)  # pyproject.toml's requires-python
 
+# Reduces two masses by the full gcd (``test_a_table_takes_the_full_gcd``).
+FULL_GCD_TABLE = ["table", "--model", "double-small", "--steps", "40", "--p", "9/10"]
+
 COMMANDS = [
     ["table", "--model", "double-large", "--steps", "30", "--format", "json"],
+    FULL_GCD_TABLE,
     ["coeff", "--model", "double-large", "--state", "40", "--steps", "602",
      "--source", "closed-form"],
     ["coeff", "--model", "double-small", "--state", "beta", "--steps", "602",
@@ -76,6 +86,24 @@ def run_commands(python: str) -> bytes:
                             env=env, timeout=60)
     assert result.returncode == 0, (python, result.stderr.decode(errors="replace"))
     return result.stdout
+
+
+def test_a_table_takes_the_full_gcd(monkeypatch):
+    """``FULL_GCD_TABLE`` reduces some mass by the full gcd of
+    ``cli._lowest_terms``, a third gcd besides its two per mass, so every
+    interpreter runs that branch too."""
+    calls = []
+
+    def counted_gcd(a, b):
+        calls.append(b)
+        return math.gcd(a, b)
+
+    monkeypatch.setattr(cli, "gcd", counted_gcd)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(FULL_GCD_TABLE) == 0
+    walk = WalkModel.double_small(Fraction(9, 10))
+    masses = sum(len(row) for _, _, row in dp_numerators(walk, 0, 40))
+    assert len(calls) > 2 * masses
 
 
 def test_numpy_free_commands_print_the_same_bytes_on_every_interpreter():
