@@ -18,6 +18,12 @@ integer sums do not depend on order, so the block size cannot change a
 tally.  One call allocates its arrays once; every block and every step
 writes into them.
 
+A walk on its finite set of slots is a finite automaton, so, like a
+byte-at-a-time CRC table, ``simulate`` moves a trial ``CHUNK`` = 8 steps
+per table lookup: the red bits of eight draws, the first the highest,
+make a uint8 key, and a jump table built from ``models.successor_table``
+maps (slot, key) to the slot eight steps on.
+
 A draw r maps to a red step exactly when r < ceil(p * 2^64), an integer
 comparison with no floating point anywhere; the red probability is off
 from p by less than 2^-64.
@@ -41,9 +47,13 @@ _MASK = (1 << 64) - 1
 
 DEFAULT_SEED = 1729
 
-# Trials per block in ``simulate``.  The arrays of a call take about
-# 2.7 MB, whatever the trial count.
+# Trials per block in ``simulate``.  The arrays of a call take 35 or 36
+# bytes per trial of a block, about 2.3 MB, whatever the trial count.
 BLOCK = 1 << 16
+
+# Steps per table lookup in ``simulate``: a chunk's red bits fill one
+# uint8 key.
+CHUNK = 8
 
 
 def mix64(value: int) -> int:
@@ -107,25 +117,54 @@ class EmpiricalDistribution:
         return Fraction(self.count(state), self.trials)
 
 
+def _jump_table(slots: list[int], steps: int) -> np.ndarray:
+    """Flat table of ``steps`` <= ``CHUNK`` steps at once: entry
+    (slot << CHUNK) | key is the slot that a trial in ``slot`` reaches when
+    its draws' red bits are the low ``steps`` bits of ``key``, the first
+    draw the highest of them.  ``slots`` is the successor list of
+    ``successor_table``; successors past its last slot are clipped onto
+    that slot, and the entries are in the smallest unsigned dtype that
+    holds every slot.
+    """
+    import numpy as np
+
+    last = len(slots) // 2 - 1
+    successors = np.minimum(np.array(slots), last).reshape(-1, 2)
+    keys = np.arange(1 << CHUNK)
+    slot = np.arange(last + 1)[:, np.newaxis]
+    for shift in reversed(range(steps)):
+        slot = successors[slot, (keys >> shift) & 1]
+    return slot.astype(np.min_scalar_type(last)).ravel()
+
+
 def simulate(config: SimConfig) -> EmpiricalDistribution:
     """Run all trials and tally final states.
 
     Trials run ``BLOCK`` at a time with numpy; the per-draw semantics
-    match ``splitmix_draw`` bit for bit.  The slots of
-    ``models.successor_table`` become positions, twice each slot, so a
-    trial at position 2 * slot takes each step as one lookup into that
-    table at the position plus the red bit.  The blocks' integer
-    counts are summed, so the tally is the same for any block size.
-    numpy is imported here, so commands that never simulate skip it.
+    match ``splitmix_draw`` bit for bit.  A trial's position is its slot
+    in ``models.successor_table``, and it moves ``CHUNK`` steps per table
+    lookup: each draw shifts its red bit into the trial's uint8 ``key``,
+    and after the chunk's last draw one lookup at (slot << 8) | key into
+    that chunk length's jump table moves the trial.  A step count that is
+    not a multiple of ``CHUNK`` ends with a shorter chunk and its own
+    table.  The blocks' integer counts are summed, so the tally is the
+    same for any block size.  numpy is imported here, so commands that
+    never simulate skip it.
 
-    The arrays are allocated once and each block writes into their first
-    ``trials`` entries.  ``lane[j]`` is seed + (j+1) g, so trial
-    ``first + j`` starts from mix64(lane[j] + first g).  Positions share
-    the dtype of ``table``, the smallest unsigned one that holds them; its
-    entries are even, so a position plus the red bit fits too.  ``index``
-    is ``np.intp``, so ``take`` converts nothing.  ``mode="clip"`` only
-    skips the bounds check, since a walk of ``steps`` steps never looks
-    past the table.
+    The jump tables are built first, so their temporaries are gone before
+    the block arrays exist.  The arrays are allocated once and each block
+    writes into their first ``trials`` entries.  ``lane[j]`` is
+    seed + (j+1) g, so trial ``first + j`` starts from
+    mix64(lane[j] + first g).  Positions take the smallest unsigned dtype
+    that holds every slot.  The lookup index is an ``np.intp`` view of
+    ``r``, whose draws are dead once the chunk's last ``less`` has run, so
+    ``take`` and ``bincount`` convert nothing.  Building a table clips
+    successors past the last slot, and ``mode="clip"`` skips the bounds
+    check; both are exact because a trial at the start of a chunk from
+    step k0 sits on a slot reachable at step k0, and its next
+    c <= steps - k0 steps stay inside ``frontier(steps)``.  Entries for
+    unreachable (slot, key) pairs may be clipped garbage; no trial reads
+    them.
     """
     import numpy as np
 
@@ -134,32 +173,39 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     if config.steps < 0:
         raise ValueError("steps must be non-negative")
     states, slots = successor_table(config.model, config.steps)
-    table = 2 * np.array(slots, dtype=np.min_scalar_type(2 * max(slots)))
-    start = 2 * states.index(0)
+    jumps = {c: _jump_table(slots, c) for c in {CHUNK, config.steps % CHUNK} if c}
+    start = states.index(0)
     threshold = np.uint64(red_threshold(config.model.p))
     size = min(BLOCK, config.trials)
     lane = np.arange(1, size + 1, dtype=np.uint64)
     lane *= np.uint64(GOLDEN)
     lane += np.uint64(config.seed & _MASK)
+    base, scratch, r = (np.empty(size, np.uint64) for _ in range(3))
     arrays = (
-        *(np.empty(size, np.uint64) for _ in range(3)),
-        np.empty(size, bool), np.empty(size, table.dtype), np.empty(size, np.intp),
+        base, scratch, r, np.empty(size, bool), np.empty(size, np.uint8),
+        np.empty(size, np.min_scalar_type(len(states) - 1)), r.view(np.intp),
     )
     counts = 0
     for first in range(0, config.trials, BLOCK):
         trials = min(BLOCK, config.trials - first)
-        base, scratch, r, red, pos, index = (a[:trials] for a in arrays)
+        base, scratch, r, red, key, pos, index = (a[:trials] for a in arrays)
         np.add(lane[:trials], np.uint64(first * GOLDEN & _MASK), out=base)
         _mix64_inplace(base, scratch)
         pos.fill(start)
-        for k in range(config.steps):
-            np.add(base, np.uint64((k + 1) * GOLDEN & _MASK), out=r)
-            _mix64_inplace(r, scratch)
-            np.less(r, threshold, out=red)
-            np.add(pos, red, out=index)
-            table.take(index, out=pos, mode="clip")
-        np.right_shift(pos, 1, out=index)
-        counts += np.bincount(index, minlength=len(table) >> 1)
+        for k0 in range(0, config.steps, CHUNK):
+            chunk = min(CHUNK, config.steps - k0)
+            for k in range(k0, k0 + chunk):
+                np.add(base, np.uint64((k + 1) * GOLDEN & _MASK), out=r)
+                _mix64_inplace(r, scratch)
+                np.less(r, threshold, out=red)
+                np.add(key, key, out=key)
+                np.bitwise_or(key, red, out=key)
+            # Without dtype, a uint8 pos would shift inside uint8 to 0.
+            np.left_shift(pos, CHUNK, out=index, dtype=np.intp)
+            np.bitwise_or(index, key, out=index)
+            jumps[chunk].take(index, out=pos, mode="clip")
+        np.copyto(index, pos)
+        counts += np.bincount(index, minlength=len(states))
     tally = {states[slot]: count for slot, count in enumerate(counts.tolist()) if count}
     return EmpiricalDistribution(config.steps, config.trials, config.seed, tally)
 

@@ -3,6 +3,7 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from knoedel import montecarlo
@@ -72,12 +73,56 @@ def test_simulate_matches_scalar_replay():
 
 
 def test_simulate_matches_scalar_replay_past_255_positions():
-    """From 63 steps on the walks' tables need uint16 positions."""
-    for model in (WalkModel.double_large(), WalkModel.double_small(Fraction(4, 5))):
-        _, table = successor_table(model, 130)
-        assert 2 * max(table) > 255
-        config = SimConfig(model, steps=130, trials=40, seed=77)
-        assert simulate(config).counts == replay(config)[0]
+    """Past 256 slots a position is a uint16: double-large has 262 slots at
+    130 steps.  At p = 99/100 trials end past slot 255 (numbered state 254),
+    so a position cut to a byte would show."""
+    ends_past_a_byte = 0
+    for model, steps in ((WalkModel.double_large(), 130),
+                         (WalkModel.double_large(Fraction(99, 100)), 130),
+                         (WalkModel.double_small(Fraction(99, 100)), 270)):
+        states, _ = successor_table(model, steps)
+        assert len(states) > 256
+        config = SimConfig(model, steps=steps, trials=40, seed=77)
+        counts = replay(config)[0]
+        assert simulate(config).counts == counts
+        ends_past_a_byte += any(state is not BETA and state > 254 for state in counts)
+    assert ends_past_a_byte == 2
+
+
+@pytest.mark.parametrize("model", [
+    WalkModel.double_large(), WalkModel.double_large(Fraction(3, 7)),
+    WalkModel.double_small(), WalkModel.double_small(Fraction(2, 7)),
+], ids=lambda model: f"{model.name}-{model.p}")
+def test_simulate_matches_scalar_replay_at_chunk_and_block_edges(monkeypatch, model):
+    """Step counts on either side of one and two eight-step chunks, and 30
+    trials in blocks of 7, so the last block is short."""
+    monkeypatch.setattr(montecarlo, "BLOCK", 7)
+    for steps in (0, 1, 7, 8, 9, 15, 16, 17):
+        config = SimConfig(model, steps=steps, trials=30, seed=4321)
+        assert simulate(config).counts == replay(config)[0], steps
+
+
+@pytest.mark.parametrize("model", [WalkModel.double_large(), WalkModel.double_small()],
+                         ids=lambda model: model.name)
+def test_jump_table_takes_chunk_steps_from_every_reachable_slot(model):
+    """For c = 1..8, the entry at (slot << 8) | key for a slot reachable at
+    some step k <= steps - c is c lookups in ``successor_table``, the
+    first taking key's bit c - 1."""
+    steps = 12
+    states, slots = successor_table(model, steps)
+    reachable = [{states.index(0)}]
+    for _ in range(steps):
+        reachable.append({slots[2 * slot + red] for slot in reachable[-1] for red in (0, 1)})
+    for chunk in range(1, montecarlo.CHUNK + 1):
+        jump = montecarlo._jump_table(slots, chunk)
+        assert len(jump) == len(states) << 8
+        assert jump.dtype == np.min_scalar_type(len(states) - 1)
+        for slot in set().union(*reachable[:steps - chunk + 1]):
+            for key in range(1 << 8):
+                to = slot
+                for shift in reversed(range(chunk)):
+                    to = slots[2 * to + (key >> shift & 1)]
+                assert jump[slot << 8 | key] == to, (chunk, slot, key)
 
 
 @pytest.mark.parametrize("model", [WalkModel.double_large(), WalkModel.double_small()],
@@ -122,17 +167,23 @@ def test_simulate_memory_does_not_grow_with_trials():
 
 
 def test_simulate_allocates_only_the_arrays_of_the_call():
-    """A call holds, per trial of a block, four uint64 arrays, one intp,
-    one bool and one uint8 position (fewer than 256 positions at 40
-    steps), 42 bytes; no step and no block adds a temporary as large as
-    one bool per trial."""
+    """A call holds, per trial of a block, four uint64 arrays (lane, base,
+    scratch and the draws r, whose intp view is the lookup index), the
+    bool red, the uint8 key and the uint8 position pos (82 slots at 40
+    steps), 35 bytes.  Beside them it holds the one eight-step jump table,
+    a byte per slot and key, and, while the index is formed, numpy's cast
+    buffer of ``np.getbufsize()`` intp entries; no step and no block adds
+    any other temporary as large as one bool per trial."""
+    steps = 40
+    states, _ = successor_table(WalkModel.double_large(), steps)
     tracemalloc.start()
     try:
-        simulate(SimConfig(WalkModel.double_large(), 40, montecarlo.BLOCK, 5))
+        simulate(SimConfig(WalkModel.double_large(), steps, montecarlo.BLOCK, 5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 42 * montecarlo.BLOCK + montecarlo.BLOCK // 2, peak
+    held = 35 * montecarlo.BLOCK + (len(states) << 8) + 8 * np.getbufsize()
+    assert peak < held + montecarlo.BLOCK // 2, peak
 
 
 def test_simulate_is_deterministic():
@@ -146,6 +197,13 @@ def test_simulate_frozen_counts():
     assert large.counts == {0: 469, 3: 378, 6: 133, 9: 20}
     small = simulate(SimConfig(WalkModel.double_small(), 7, 1000, 42))
     assert small.counts == {1: 591, 4: 328, 7: 81}
+    # Past one eight-step chunk, and for double-large past one block.
+    large = simulate(SimConfig(WalkModel.double_large(), 17, 70_000, 42))
+    assert large.counts == {1: 30017, 4: 19508, 7: 11781, 10: 5658, 13: 2111,
+                            16: 707, 19: 177, 22: 38, 25: 3}
+    small = simulate(SimConfig(WalkModel.double_small(), 64, 1000, 42))
+    assert small.counts == {1: 212, 4: 193, 7: 180, 10: 124, 13: 106, 16: 75,
+                            19: 48, 22: 35, 25: 20, 28: 6, 34: 1}
 
 
 def test_simulate_zero_steps():
