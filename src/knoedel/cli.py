@@ -7,11 +7,12 @@ suites), ``simulate`` (seeded Monte Carlo against exact values) and
 with ``--format json``; ``verify`` prints PASS/FAIL lines by default,
 and with ``--format csv`` or ``json`` one row per suite with its time.
 Exact values always appear as numerator and denominator next to a
-rounded decimal.  Every ``series`` token steps each coefficient's
-integer numerator from the one or two before it by its exact term
-recurrence (``closedforms.t_series`` through ``g0_series``), which
-reproduces the token's closed coefficient formula; the expansions of
-``f0`` and ``g0`` at t(x) are the route the verification suites check.
+rounded decimal.  Every ``series`` token is stepped from one
+recurrence table, ``closedforms._RECURRENCES``: each coefficient's
+integer numerator comes from the one or two before it by the token's
+exact term recurrence, which the tests prove in t and which reproduces
+the token's closed coefficient formula; the expansions of ``f0`` and
+``g0`` at t(x) are the route the verification suites check.
 
 Each printing command builds its rows as tuples under a fixed header
 and hands them to ``_emit``, one writer for both formats, which imports

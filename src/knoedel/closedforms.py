@@ -37,18 +37,16 @@ Everything downstream of the kernel lives in these objects:
 Series in this module are expansions in x unless a name says otherwise;
 ``t_series`` is the bridge, the compositional inverse of x(t).
 
-The five printed series are algebraic in x, so their coefficients obey
-linear recurrences with polynomial coefficients.  Each series function
-holds the integer numerator of [x^k] over 27^k (over 3 27^k for U1) and
-steps it from the one or two before it by products with small
-polynomials in k and one exact ``//``.  A series of order n thus costs
-O(n) products of a big integer by a small one, and one ``Fraction`` per
-coefficient, not a binomial or an O(k) sum per coefficient.  t, 1/(1-t),
-U1 and f0 are hypergeometric (first order); each step reproduces the
-binomial closed formula its docstring names, ``f_state_coeff(3N, 0)``
-for f0.  g0 needs a second-order recurrence, which reproduces
-``g0_coeff(N)``.  The closed formulas themselves stay for ``coeff`` and
-the verification suites.
+The five printed series are rational functions of t, so their
+coefficients obey linear recurrences with polynomial coefficients.  One
+table, ``_RECURRENCES``, holds each series' rational function, first
+terms and recurrence, and one loop steps every series from it: the
+integer numerator of [x^k] over 27^k (over 3 27^k for U1) comes from the
+one or two before it by products with small integers and one exact
+``//``, so order n costs O(n) such products and one ``Fraction`` per
+coefficient.  ``tests/test_closedforms.py`` proves every entry of that
+table exactly in t (``test_series_recurrences_hold_exactly_in_t``).  The
+closed formulas stay for ``coeff`` and the verification suites.
 
 All closed forms assume the balanced draw probabilities (p = 1/3 for
 double-large, p = 2/3 for double-small); the dispatcher
@@ -88,63 +86,9 @@ def _over_powers_of_27(nums: list[int], order: int, den: int = 1) -> TruncatedSe
     return TruncatedSeries(coeffs, order)
 
 
-def t_series(order: int) -> TruncatedSeries:
-    """Reversion t(x) of x = (27/4) t (1-t)^2, by its term recurrence.
-
-    [x^k] t = a_k / 27^k with a_0 = 0, a_1 = 4 and, for k >= 1,
-
-        a_(k+1) = a_k 6 (3k-1)(3k+1) // ((k+1)(2k+1)),
-
-    an exact division.  So a_k = 4^k C(3k-2, k-1) / k, and each step
-    reproduces the closed formula [x^k] t = (1/k) C(3k-2, k-1) 2^(2k) /
-    3^(3k).  The first terms are (4/27) x + (32/729) x^2 + (448/19683) x^3
-    + ...  The library checks this against ``x_of_t`` series reversion,
-    so the two routes stay independent.
-    """
-    nums = [0, 4][:order]
-    for k in range(1, order - 1):
-        nums.append(nums[k] * 6 * (3 * k - 1) * (3 * k + 1) // ((k + 1) * (2 * k + 1)))
-    return _over_powers_of_27(nums, order)
-
-
-def _ternary_tree_numerators(order: int) -> list[int]:
-    """b_k = 4^k C(3k, k) / (2k+1) for k < ``order``, by b_0 = 1 and the
-    exact division b_(k+1) = b_k 6 (3k+1)(3k+2) // ((k+1)(2k+3)).
-    C(3k, k) / (2k+1) counts the ternary trees with k internal nodes."""
-    nums = [1]
-    for k in range(order - 1):
-        nums.append(nums[k] * 6 * (3 * k + 1) * (3 * k + 2) // ((k + 1) * (2 * k + 3)))
-    return nums
-
-
-def inv_one_minus_t_series(order: int) -> TruncatedSeries:
-    """Expansion of 1 / (1 - t(x)) in x, by its term recurrence.
-
-    [x^k] = b_k / 27^k with b_k from ``_ternary_tree_numerators``, which
-    reproduces the closed formula (1/(2k+1)) C(3k, k) 2^(2k) / 3^(3k); the
-    constant term is 1.  Equals ``(1 - t_series(order)).recip()``
-    coefficient for coefficient.
-    """
-    return _over_powers_of_27(_ternary_tree_numerators(order), order)
-
-
 def bad_factor_root_rational() -> RationalFunction:
     """The kernel root U1 = 2 / (3 (1 - t)) that carries no walk mass."""
     return RationalFunction(Polynomial([2]), 3 * _ONE_MINUS_T)
-
-
-def bad_factor_root_series(order: int) -> TruncatedSeries:
-    """Expansion of the bad-factor root 2 / (3(1 - t(x))) in x, by its
-    term recurrence.
-
-    [x^k] = 2 b_k / (3 27^k) with b_k from ``_ternary_tree_numerators``,
-    which reproduces the closed formula (1/(2k+1)) C(3k, k) 2^(2k+1) /
-    3^(3k+1), starting 2/3 + (8/81) x + ...  This is exactly 2/3 times
-    ``inv_one_minus_t_series``; keeping the two normalizations separate is
-    the point, since conflating them scales every downstream probability
-    by 2/3.
-    """
-    return _over_powers_of_27([2 * b for b in _ternary_tree_numerators(order)], order, 3)
 
 
 def f0_rational() -> RationalFunction:
@@ -153,24 +97,111 @@ def f0_rational() -> RationalFunction:
     return RationalFunction(Polynomial([1]), _ONE_MINUS_T * _ONE_MINUS_3T)
 
 
+def g0_rational() -> RationalFunction:
+    """State-0 generating function of the double-small walk:
+    g0 = 4 / ((1 - 3t)(4 - 3t))."""
+    return RationalFunction(Polynomial([4]), _ONE_MINUS_3T * _FOUR_MINUS_3T)
+
+
+@dataclass(frozen=True)
+class _Recurrence:
+    """A printed series G, a rational function of t, whose coefficients
+    are [x^k] G = a_k / (den 27^k) with a_0 .. a_(d-1) = ``first`` and
+
+        sum_(i=0..d) P_i(N) a_(N+i) = 0   for every N >= 0,
+
+    where ``polys`` holds each P_i(N) = c0 + c1 N + c2 N^2 as the tuple
+    (c0, c1, c2).  P_d(N) > 0 for N >= 0, so ``first`` and the rule fix
+    every a_k.  Each a_k is an integer, so each step's ``//`` is exact:
+    with y = x/27, t = 4y / (1-t)^2 has coefficients in 4Z, and den G is
+    an integer polynomial in t and t/4 over one with constant term 1."""
+
+    rational: RationalFunction
+    first: tuple[int, ...]
+    den: int
+    polys: tuple[tuple[int, int, int], ...]
+
+
+# Keyed by the ``series --which`` token.  The factor 4^k is folded into
+# the numerators.  t's first-order rule holds only from k = 1; written at
+# N = k - 1 with P_0 = 0, it holds from N = 0.  g0's rule was found from
+# its first 62 sums.
+_RECURRENCES = {
+    # (N+2)(2N+3) a_(N+2) = 6 (3N+2)(3N+4) a_(N+1):  a_k = 4^k C(3k-2, k-1) / k
+    "t": _Recurrence(RationalFunction(_T, Polynomial([1])), (0, 4), 1,
+                     ((0, 0, 0), (-48, -108, -54), (6, 7, 2))),
+    # (N+1)(2N+3) b_(N+1) = 6 (3N+1)(3N+2) b_N:  b_k = 4^k C(3k, k) / (2k+1)
+    "inv1mt": _Recurrence(RationalFunction(Polynomial([1]), _ONE_MINUS_T), (1,), 1,
+                          ((-12, -54, -54), (3, 5, 2))),
+    # 2 b_k, the same rule, over 3 27^k
+    "u1": _Recurrence(bad_factor_root_rational(), (2,), 3, ((-12, -54, -54), (3, 5, 2))),
+    # (N+1)(2N+3) F_(N+1) = 6 (3N+2)(3N+4) F_N:  F_N = 4^N C(3N+1, N)
+    "f0": _Recurrence(f0_rational(), (1,), 1, ((-48, -108, -54), (3, 5, 2))),
+    # (N+2)(2N+3) S(N+2) = 3 (36N^2 + 99N + 70) S(N+1) - 162 (3N+2)(3N+4) S(N)
+    "g0": _Recurrence(g0_rational(), (1, 15), 1,
+                      ((1296, 2916, 1458), (-210, -297, -108), (6, 7, 2))),
+}
+
+
+def _recurrence_series(which: str, order: int) -> TruncatedSeries:
+    """The first ``order`` terms of ``_RECURRENCES[which]``: from ``first``,
+    each a_(n+d) = -sum_(i<d) P_i(n) a_(n+i) // P_d(n), an exact
+    division, then one ``Fraction`` per coefficient."""
+    rec = _RECURRENCES[which]
+    *lower, (c0, c1, c2) = rec.polys
+    nums = list(rec.first[:order])
+    for n in range(order - len(rec.first)):
+        total = 0
+        for i, (b0, b1, b2) in enumerate(lower):
+            total -= ((b2 * n + b1) * n + b0) * nums[n + i]
+        nums.append(total // ((c2 * n + c1) * n + c0))
+    return _over_powers_of_27(nums, order, rec.den)
+
+
+def t_series(order: int) -> TruncatedSeries:
+    """Reversion t(x) of x = (27/4) t (1-t)^2, by its term recurrence.
+
+    [x^k] t = (1/k) C(3k-2, k-1) 2^(2k) / 3^(3k), stepped from a_0 = 0
+    and a_1 = 4 over 27^k (``_RECURRENCES["t"]``).  The first terms are
+    (4/27) x + (32/729) x^2 + (448/19683) x^3 + ...  The library checks
+    this against ``x_of_t`` series reversion, so the two routes stay
+    independent.
+    """
+    return _recurrence_series("t", order)
+
+
+def inv_one_minus_t_series(order: int) -> TruncatedSeries:
+    """Expansion of 1 / (1 - t(x)) in x, by its term recurrence.
+
+    [x^k] = (1/(2k+1)) C(3k, k) 2^(2k) / 3^(3k); the constant term is 1.
+    Equals ``(1 - t_series(order)).recip()`` coefficient for coefficient.
+    """
+    return _recurrence_series("inv1mt", order)
+
+
+def bad_factor_root_series(order: int) -> TruncatedSeries:
+    """Expansion of the bad-factor root 2 / (3(1 - t(x))) in x, by its
+    term recurrence.
+
+    [x^k] = (1/(2k+1)) C(3k, k) 2^(2k+1) / 3^(3k+1), starting 2/3 +
+    (8/81) x + ...  This is exactly 2/3 times ``inv_one_minus_t_series``;
+    keeping the two normalizations separate is the point, since
+    conflating them scales every downstream probability by 2/3.
+    """
+    return _recurrence_series("u1", order)
+
+
 def f0_series(order: int) -> TruncatedSeries:
     """x-expansion of f0 by its term recurrence; [x^N] is the probability
     of state 0 after 3N steps of the double-large walk.
 
-    [x^N] = F_N / 27^N with F_0 = 1 and the exact division
-
-        F_(N+1) = F_N 6 (3N+2)(3N+4) // ((N+1)(2N+3)),
-
-    so F_N = 4^N C(3N+1, N), and each step reproduces the closed sum
-    ``f_state_coeff(3N, 0)`` = 2^(2N) C(3N+1, N) / 3^(3N).
+    Each step reproduces the closed sum ``f_state_coeff(3N, 0)`` =
+    2^(2N) C(3N+1, N) / 3^(3N).
 
     This is what ``series --which f0`` prints.  ``f0_series_from_t`` is
     the independent route: the tests check it against this recurrence at
     order 200, and ``series_suite`` checks it against the DP."""
-    nums = [1]
-    for n in range(order - 1):
-        nums.append(nums[n] * 6 * (3 * n + 2) * (3 * n + 4) // ((n + 1) * (2 * n + 3)))
-    return _over_powers_of_27(nums, order)
+    return _recurrence_series("f0", order)
 
 
 def f0_series_from_t(order: int) -> TruncatedSeries:
@@ -179,39 +210,22 @@ def f0_series_from_t(order: int) -> TruncatedSeries:
     return f0_rational().expand(t_series(order))
 
 
-def g0_rational() -> RationalFunction:
-    """State-0 generating function of the double-small walk:
-    g0 = 4 / ((1 - 3t)(4 - 3t))."""
-    return RationalFunction(Polynomial([4]), _ONE_MINUS_3T * _FOUR_MINUS_3T)
-
-
 def g0_series(order: int) -> TruncatedSeries:
     """x-expansion of g0 by its term recurrence; [x^N] is the probability
     of state 0 after 3N steps of the double-small walk.
 
     [x^N] = S(N) / 27^N, where S(N) = ``_g_sum(N, 0)`` is the integer
-    behind ``g0_coeff(N)``.  S(0) = 1, S(1) = 15 and
-
-        (N+2)(2N+3) S(N+2) = 3 (36N^2 + 99N + 70) S(N+1)
-                             - 162 (3N+2)(3N+4) S(N),
-
-    so each coefficient takes two products and one exact division, not
-    an O(N) sum.  g0 is algebraic in x, so its coefficients satisfy some
-    linear recurrence with polynomial coefficients.  This one was found
-    by solving for three quadratic coefficients from the first 62 sums
-    (60 equations), whose solutions form a one-dimensional space; it is
-    not proved here.
-    The tests check it against ``g0_coeff`` at every N below 400, twice
-    the CLI's order cap.
+    behind ``g0_coeff(N)``: a second-order rule in ``_RECURRENCES``
+    steps S from S(0) = 1 and S(1) = 15, so each coefficient takes two
+    products and one exact division, not an O(N) sum.  The rule is
+    proved exactly in t by ``test_series_recurrences_hold_exactly_in_t``,
+    and checked against ``g0_coeff`` at every N below 400, twice the
+    CLI's order cap.
 
     This is what ``series --which g0`` prints.  ``g0_series_from_t`` is
     the independent route: the tests check it against this recurrence at
     order 200, and ``series_suite`` checks it against the DP."""
-    nums = [1, 15][:order]
-    for n in range(order - 2):
-        nums.append((3 * (36 * n * n + 99 * n + 70) * nums[n + 1]
-                     - 162 * (3 * n + 2) * (3 * n + 4) * nums[n]) // ((n + 2) * (2 * n + 3)))
-    return _over_powers_of_27(nums, order)
+    return _recurrence_series("g0", order)
 
 
 def g0_series_from_t(order: int) -> TruncatedSeries:

@@ -319,10 +319,9 @@ class TruncatedSeries(_Ring):
         while r.order < len(nums):
             order = min(2 * r.order, len(nums))
             r = r._resized(order)
-            head = nums[:order]
-            residual = Polynomial._reduced(head, den)(r) - TruncatedSeries.identity(order)
-            slope = Polynomial._reduced([k * c for k, c in enumerate(head)][1:], den)
-            r = r - residual * slope(r).recip()
+            head = Polynomial._reduced(nums[:order], den)
+            residual = head(r) - TruncatedSeries.identity(order)
+            r = r - residual * head.derivative()(r).recip()
         return r
 
     def __eq__(self, other: object) -> bool:
@@ -361,6 +360,11 @@ class Polynomial(_Ring):
         if k < self._length():
             return self._coeff(k)
         return Fraction(0)
+
+    def derivative(self) -> Polynomial:
+        """The formal derivative, over the same denominator."""
+        nums, den = self._ints()
+        return Polynomial._reduced([k * c for k, c in enumerate(nums)][1:], den)
 
     def __call__(self, point):
         """Horner evaluation over the integer numerators, divided by their

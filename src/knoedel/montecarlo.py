@@ -158,7 +158,10 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     mix64(lane[j] + first g).  Positions take the smallest unsigned dtype
     that holds every slot.  The lookup index is an ``np.intp`` view of
     ``r``, whose draws are dead once the chunk's last ``less`` has run, so
-    ``take`` and ``bincount`` convert nothing.  Building a table clips
+    ``take`` and ``bincount`` convert nothing.  ``pos`` and ``key`` are
+    widened into it and into an ``np.intp`` view of ``scratch`` by
+    ``copyto``, so no ufunc casts an input, which would take numpy's
+    buffer of ``np.getbufsize()`` entries.  Building a table clips
     successors past the last slot, and ``mode="clip"`` skips the bounds
     check; both are exact because a trial at the start of a chunk from
     step k0 sits on a slot reachable at step k0, and its next
@@ -184,11 +187,12 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     arrays = (
         base, scratch, r, np.empty(size, bool), np.empty(size, np.uint8),
         np.empty(size, np.min_scalar_type(len(states) - 1)), r.view(np.intp),
+        scratch.view(np.intp),
     )
     counts = 0
     for first in range(0, config.trials, BLOCK):
         trials = min(BLOCK, config.trials - first)
-        base, scratch, r, red, key, pos, index = (a[:trials] for a in arrays)
+        base, scratch, r, red, key, pos, index, low = (a[:trials] for a in arrays)
         np.add(lane[:trials], np.uint64(first * GOLDEN & _MASK), out=base)
         _mix64_inplace(base, scratch)
         pos.fill(start)
@@ -200,9 +204,10 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
                 np.less(r, threshold, out=red)
                 np.add(key, key, out=key)
                 np.bitwise_or(key, red, out=key)
-            # Without dtype, a uint8 pos would shift inside uint8 to 0.
-            np.left_shift(pos, CHUNK, out=index, dtype=np.intp)
-            np.bitwise_or(index, key, out=index)
+            np.copyto(index, pos)
+            np.left_shift(index, CHUNK, out=index)
+            np.copyto(low, key)
+            np.bitwise_or(index, low, out=index)
             jumps[chunk].take(index, out=pos, mode="clip")
         np.copyto(index, pos)
         counts += np.bincount(index, minlength=len(states))

@@ -679,12 +679,16 @@ def test_series_tokens(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_series_f0_g0_print_their_recurrence_rows_at_the_order_cap(capsys, fmt):
-    """At the order cap, ``series`` prints the bytes of rows built from
-    ``f0_series`` and ``g0_series``, which tests/test_closedforms.py checks
-    against the expansions at t(x)."""
+def test_series_tokens_print_their_recurrence_rows_at_the_order_cap(capsys, fmt):
+    """At the order cap, every ``series`` token prints the bytes of rows
+    built from its series function, all five stepped from one recurrence
+    table, which tests/test_closedforms.py proves in t; f0 and g0 are also
+    checked there against their expansions at t(x)."""
     order = cli.SERIES_ORDER_CAP
-    for which, series in (("f0", closedforms.f0_series), ("g0", closedforms.g0_series)):
+    for which, series in (("t", closedforms.t_series),
+                          ("inv1mt", closedforms.inv_one_minus_t_series),
+                          ("u1", closedforms.bad_factor_root_series),
+                          ("f0", closedforms.f0_series), ("g0", closedforms.g0_series)):
         rows = [
             {"series": which, "k": k, "num": value.numerator, "den": value.denominator,
              "decimal": decimal_string(value, 12)}

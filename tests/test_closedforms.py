@@ -7,6 +7,7 @@ which the acceptance criteria call; the tests here check the formulas
 against independent oracles: the paper's own sums and product forms.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -15,8 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knoedel import closedforms as cf
-from knoedel.cli import SERIES_ORDER_CAP
-from knoedel.exactmath import Polynomial, RationalFunction, binom_general
+from knoedel.cli import SERIES_ORDER_CAP, SERIES_TOKENS
+from knoedel.exactmath import Polynomial, RationalFunction, TruncatedSeries, binom_general
 from knoedel.models import WalkModel, frontier
 
 LARGE, SMALL = WalkModel.double_large(), WalkModel.double_small()
@@ -239,6 +240,77 @@ def test_series_recurrences_reproduce_the_closed_formulas(which):
     series, formula = SERIES_FORMULAS[which]
     for order in (1, 2, 2 * SERIES_ORDER_CAP):
         assert series(order).coeffs == tuple(formula(k) for k in range(order)), order
+
+
+def _theta_minus(shift, num, den):
+    """(theta - shift)(num / den) for a rational function of t, where
+    theta = x d/dx is t (1-t) / (1-3t) d/dt, since dx/dt =
+    (27/4) (1-t) (1-3t)."""
+    t = Polynomial.x()
+    return (t * (1 - t) * (num.derivative() * den - num * den.derivative())
+            - shift * (1 - 3 * t) * num * den,
+            (1 - 3 * t) * den * den)
+
+
+def recurrence_residue(rec):
+    """The numerator, a polynomial in t, of
+
+        sum_i x^(d-i) q_i(theta - i) (G - G_(<i)),   q_i = 27^i P_i,
+
+    where G is ``rec.rational`` and G_(<i) its first i terms as
+    ``rec.first`` gives them.  theta - i maps x^k to (k - i) x^k, so the
+    sum is sum_N sum_i q_i(N) c_(N+i) x^(N+d) over the coefficients c_k
+    of G, plus, in powers below x^d, the misfit of ``rec.first``."""
+    x, g = cf.x_of_t(), rec.rational
+    d = len(rec.first)
+    head = Polynomial()
+    num, den = Polynomial(), Polynomial([1])
+    for i, coeffs in enumerate(rec.polys):
+        power = (g.num - head * g.den, g.den)
+        for j, c in enumerate(coeffs):
+            if j:
+                power = _theta_minus(i, *power)
+            if c:
+                term = 27**i * c * x ** (d - i) * power[0]
+                num, den = num * power[1] + term * den, den * power[1]
+        if i < d:
+            head = head + Fraction(rec.first[i], rec.den * 27**i) * x**i
+    return num
+
+
+@pytest.mark.parametrize("which", sorted(cf._RECURRENCES))
+def test_series_recurrences_hold_exactly_in_t(which):
+    """Each entry of the table that ``series`` steps is a theorem, at
+    every order.  A zero residue means that G's coefficients obey the
+    recurrence at every N >= 0 (t(x) = (4/27) x + ..., so an identity in
+    t is one in x).  The first terms are G's own, read off an expansion
+    at the reversion of x(t), and P_d has non-negative coefficients and a
+    positive constant, so P_d(N) > 0 for N >= 0: the recurrence then
+    fixes every coefficient from them (the guess-and-prove of D-finite
+    series, Stanley 1980; Salvy and Zimmermann, gfun, 1994)."""
+    assert set(cf._RECURRENCES) == set(SERIES_TOKENS)
+    rec = cf._RECURRENCES[which]
+    assert recurrence_residue(rec).is_zero()
+    t = TruncatedSeries(cf.x_of_t().coeffs).reversion()
+    assert rec.rational.expand(t).coeffs[:len(rec.first)] == tuple(
+        Fraction(a, rec.den * 27**k) for k, a in enumerate(rec.first))
+    assert len(rec.polys) == len(rec.first) + 1
+    c0, *rest = rec.polys[-1]
+    assert c0 > 0 and min(rest) >= 0
+
+
+_T_REC, _G0_REC = cf._RECURRENCES["t"], cf._RECURRENCES["g0"]
+
+
+@pytest.mark.parametrize("rec", [
+    replace(_G0_REC, polys=(_G0_REC.polys[0], (-213, -297, -108), _G0_REC.polys[2])),
+    replace(_T_REC, first=(0,), polys=((6, 0, -54), (1, 3, 2))),
+    replace(_G0_REC, first=(1, 16)),
+], ids=["g0-71-for-70", "t-from-k-0", "g0-S1-16"])
+def test_wrong_series_recurrences_leave_a_residue(rec):
+    """Negative controls: g0's 70 changed to 71; t's first-order rule
+    read from k = 0, where it gives a_1 = 0; g0's S(1) changed to 16."""
+    assert not recurrence_residue(rec).is_zero()
 
 
 def test_column_zero_degenerates_to_state_zero_functions():

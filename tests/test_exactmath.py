@@ -186,9 +186,10 @@ padded = st.tuples(st.lists(coefficients, min_size=1, max_size=6), st.integers(0
 @given(padded, padded, coefficients, nonzero, sparse_tails)
 def test_ring_results_are_canonical_and_match_fraction_references(a, b, scalar, linear, tail):
     """Every series and polynomial result is canonical, reads back the
-    Fractions of its schoolbook, recurrence or Lagrange reference, and
-    compares equal exactly to the elements built from equal Fractions.
-    Operands include zero, negative and zero-padded ones."""
+    Fractions of its schoolbook, recurrence, Lagrange or term-by-term
+    derivative reference, and compares equal exactly to the elements
+    built from equal Fractions.  Operands include zero, negative and
+    zero-padded ones."""
     fa, fb, n = [Fraction(c) for c in a], [Fraction(c) for c in b], min(len(a), len(b))
     sa, sb = TruncatedSeries(a), TruncatedSeries(b)
     inner = [Fraction(0)] + fb[1:]
@@ -217,6 +218,7 @@ def test_ring_results_are_canonical_and_match_fraction_references(a, b, scalar, 
         (scalar * pa, [scalar * x for x in fa]),
         (pa * pb, schoolbook_product(fa, fb, len(a) + len(b) - 1)),
         (pa**2, schoolbook_product(fa, fa, 2 * len(a) - 1)),
+        (pa.derivative(), [k * x for k, x in enumerate(fa)][1:]),
     ]
     for got, want in series:
         # coeff(k) forms the one Fraction asked for, not the whole tuple.

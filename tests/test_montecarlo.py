@@ -171,9 +171,9 @@ def test_simulate_allocates_only_the_arrays_of_the_call():
     scratch and the draws r, whose intp view is the lookup index), the
     bool red, the uint8 key and the uint8 position pos (82 slots at 40
     steps), 35 bytes.  Beside them it holds the one eight-step jump table,
-    a byte per slot and key, and, while the index is formed, numpy's cast
-    buffer of ``np.getbufsize()`` intp entries; no step and no block adds
-    any other temporary as large as one bool per trial."""
+    a byte per slot and key.  The index is formed without numpy's cast
+    buffer, and no step and no block adds any other temporary as large
+    as one bool per trial."""
     steps = 40
     states, _ = successor_table(WalkModel.double_large(), steps)
     tracemalloc.start()
@@ -182,7 +182,7 @@ def test_simulate_allocates_only_the_arrays_of_the_call():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = 35 * montecarlo.BLOCK + (len(states) << 8) + 8 * np.getbufsize()
+    held = 35 * montecarlo.BLOCK + (len(states) << 8)
     assert peak < held + montecarlo.BLOCK // 2, peak
 
 
