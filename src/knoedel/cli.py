@@ -38,14 +38,16 @@ Rounding divides through one cached decimal context per digit count.
 (``models.dp_numerators``, e = ``models.denominator_power``) straight
 into its rows, with one decimal divisor per step, and reduces each mass
 for the num and den columns by a gcd against one word
-(``_lowest_terms``): with k the largest integer of at least 1 for which
-b**k fits one 30-bit digit of Python's int, g = gcd(m, b**min(e, k)),
-which costs a remainder and a word gcd, not a gcd of two long numbers.
-Since gcd(m, b**e) = g * gcd(m/g, b**e/g) and every prime factor of
-b**e/g divides b, g is the whole gcd when m/g is coprime to b; when it
-is not, which needs a composite b or a valuation past k, the full gcd
-is taken.  The other commands round a ``Fraction`` through
-``decimal_string``.
+(``exactmath.lowest_terms``): with k the largest integer of at least 1
+for which b**k fits one 30-bit digit of Python's int, g = gcd(m,
+b**min(e, k)), which costs a remainder and a word gcd, not a gcd of two
+long numbers.  Since gcd(m, b**e) = g * gcd(m/g, b**e/g) and every prime
+factor of b**e/g divides b, g is the whole gcd when m/g is coprime to b;
+when it is not, which needs a composite b or a valuation past k, the
+full gcd is taken.  ``series`` prints the reduced (num, den) pairs its
+series token was built from, each reduced the same way against a power
+of 3, with one ``divide`` per row.  ``coeff`` and ``simulate`` round a
+``Fraction`` through ``decimal_string``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Every
 cap is a constant.  ``table --steps``, ``simulate --steps`` and ``verify
@@ -88,10 +90,10 @@ import sys
 from decimal import Context, Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd
 from operator import itemgetter
 
 from . import closedforms, montecarlo, verification
+from .exactmath import lowest_terms, word_power
 from .models import (
     BETA,
     WalkModel,
@@ -188,9 +190,17 @@ def _digit_limit() -> int:
 
 def _too_long(base: int, power: int, digits: int) -> bool:
     """Whether base**power has more than ``digits`` digits, for
-    ``digits`` at least 1.  The bit-length test answers for a power far
-    past ``digits`` without building it."""
-    return (base.bit_length() - 1) * power > 4 * digits or base**power >= 10**digits
+    ``digits`` at least 1 and base at least 1.  With 2**(bits - 1) <=
+    base < 2**bits, two bit-length tests answer without building either
+    power: base**power > 16**digits past the upper one, and base**power <
+    8**digits within the lower one.  Only the band between them builds
+    both."""
+    bits = base.bit_length()
+    if (bits - 1) * power > 4 * digits:
+        return True
+    if bits * power <= 3 * digits:
+        return False
+    return base**power >= 10**digits
 
 
 def _check_steps(steps: int, name: str, cap: int) -> None:
@@ -313,33 +323,6 @@ def _emit(rows: list[tuple], fmt: str, header: tuple[str, ...]) -> None:
     sys.stdout.write(tail)
 
 
-# Python's ints are stored in 30-bit digits: a number below this is one digit.
-_WORD = 1 << 30
-
-
-def _word_power(base: int) -> int:
-    """The largest k of at least 1 with base**k below ``_WORD``, for base >= 2."""
-    k = 1
-    while base ** (k + 1) < _WORD:
-        k += 1
-    return k
-
-
-def _lowest_terms(m: int, den: int, word: int, base: int) -> tuple[int, int]:
-    """m / den in lowest terms, as (numerator, denominator), for m >= 0,
-    den = base**e and ``word`` a divisor of den, in ``table``
-    base**min(e, ``_word_power(base)``).
-
-    g = gcd(m, word) is a remainder and a word gcd when word is one
-    digit, and gcd(m, den) = g * gcd(m/g, den/g).  Every prime factor of
-    den/g divides base, so g is the whole gcd when m/g is coprime to
-    base; otherwise the full gcd is taken."""
-    g = gcd(m, word)
-    if gcd(m // g, base) > 1:
-        g = gcd(m, den)
-    return m // g, den // g
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     _check_steps(args.steps, "steps", STEP_CAP)
     model = _model_from(args)
@@ -359,9 +342,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         )
     name = model.name
     divide = _context(args.digits).divide
-    k = _word_power(base)
+    k = word_power(base)
     rows = []
-    # Each step-n mass is m / b**e: ``_lowest_terms`` reduces it for the
+    # Each step-n mass is m / b**e: ``lowest_terms`` reduces it for the
     # num and den columns, and m divided by b**e rounds to the same
     # decimal as the reduced quotient, since both operands have exponent 0.
     for n, den, row in dp_numerators(model, 0, args.steps):
@@ -370,7 +353,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         rows += [
             (name, n, str(state), num, low, str(divide(m, divisor)))
             for state, m in row
-            for num, low in (_lowest_terms(m, den, word, base),)
+            for num, low in (lowest_terms(m, den, word, base),)
         ]
     _emit(rows, args.format, TABLE_HEADER)
     return 0
@@ -467,9 +450,12 @@ def cmd_series(args: argparse.Namespace) -> int:
     if not 1 <= args.order <= SERIES_ORDER_CAP:
         raise UsageError(f"order must be between 1 and {SERIES_ORDER_CAP}")
     series = SERIES_TOKENS[args.which](args.order)
+    divide = _context(args.digits).divide
+    # Each coefficient is a reduced pair; num divided by den rounds as
+    # in ``decimal_string``, since both operands have exponent 0.
     rows = [
-        (args.which, k, value.numerator, value.denominator, decimal_string(value, args.digits))
-        for k, value in enumerate(series.coeffs)
+        (args.which, k, num, den, str(divide(num, Decimal(den))))
+        for k, (num, den) in enumerate(series.terms())
     ]
     _emit(rows, args.format, SERIES_HEADER)
     return 0

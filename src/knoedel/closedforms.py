@@ -43,10 +43,13 @@ table, ``_RECURRENCES``, holds each series' rational function, first
 terms and recurrence, and one loop steps every series from it: the
 integer numerator of [x^k] over 27^k (over 3 27^k for U1) comes from the
 one or two before it by products with small integers and one exact
-``//``, so order n costs O(n) such products and one ``Fraction`` per
-coefficient.  ``tests/test_closedforms.py`` proves every entry of that
-table exactly in t (``test_series_recurrences_hold_exactly_in_t``).  The
-closed formulas stay for ``coeff`` and the verification suites.
+``//``, so order n costs O(n) such products.  Each coefficient is then
+held as a reduced integer pair, reduced by a gcd against one word, since
+its denominator is a power of 3; ``series`` prints those pairs, and no
+``Fraction`` is formed until a caller reads ``coeffs``.
+``tests/test_closedforms.py`` proves every entry of that table exactly
+in t (``test_series_recurrences_hold_exactly_in_t``).  The closed
+formulas stay for ``coeff`` and the verification suites.
 
 All closed forms assume the balanced draw probabilities (p = 1/3 for
 double-large, p = 2/3 for double-small); the dispatcher
@@ -60,7 +63,14 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb
 
-from .exactmath import Polynomial, RationalFunction, TruncatedSeries, binom_general
+from .exactmath import (
+    Polynomial,
+    RationalFunction,
+    TruncatedSeries,
+    binom_general,
+    lowest_terms,
+    word_power,
+)
 from .models import ModelKind, State, WalkModel, _BetaState, frontier
 
 _T = Polynomial.x()
@@ -76,14 +86,22 @@ def x_of_t() -> Polynomial:
     return Fraction(27, 4) * _T * _ONE_MINUS_T**2
 
 
-def _over_powers_of_27(nums: list[int], order: int, den: int = 1) -> TruncatedSeries:
-    """The series sum_k nums[k] x^k / (den 27^k), with one ``Fraction``
-    per coefficient and 27^k stepped by one product."""
-    coeffs, power = [], den
+# The largest power of 3 in one 30-bit digit, 3**18.
+_THREE_WORD = 3 ** word_power(3)
+
+
+def _over_powers_of_27(nums: list[int], den: int) -> TruncatedSeries:
+    """The series sum_k nums[k] x^k / (den 27^k), for den a power of 3,
+    held as reduced integer pairs.  27^k is stepped by one product, and
+    each pair is reduced by ``lowest_terms`` against the word
+    3**min(e, 18) of den 27^k = 3**e: a remainder and a word gcd, and
+    the full gcd only when nums[k] over that gcd is still a multiple of
+    3, which below order 400 only t's a_0 = 0 is."""
+    terms, power = [], den
     for num in nums:
-        coeffs.append(Fraction(num, power))
+        terms.append(lowest_terms(num, power, min(power, _THREE_WORD), 3))
         power *= 27
-    return TruncatedSeries(coeffs, order)
+    return TruncatedSeries.from_terms(terms)
 
 
 def bad_factor_root_rational() -> RationalFunction:
@@ -146,7 +164,10 @@ _RECURRENCES = {
 def _recurrence_series(which: str, order: int) -> TruncatedSeries:
     """The first ``order`` terms of ``_RECURRENCES[which]``: from ``first``,
     each a_(n+d) = -sum_(i<d) P_i(n) a_(n+i) // P_d(n), an exact
-    division, then one ``Fraction`` per coefficient."""
+    division, then one reduced integer pair per coefficient
+    (``_over_powers_of_27``)."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
     rec = _RECURRENCES[which]
     *lower, (c0, c1, c2) = rec.polys
     nums = list(rec.first[:order])
@@ -155,7 +176,7 @@ def _recurrence_series(which: str, order: int) -> TruncatedSeries:
         for i, (b0, b1, b2) in enumerate(lower):
             total -= ((b2 * n + b1) * n + b0) * nums[n + i]
         nums.append(total // ((c2 * n + c1) * n + c0))
-    return _over_powers_of_27(nums, order, rec.den)
+    return _over_powers_of_27(nums, rec.den)
 
 
 def t_series(order: int) -> TruncatedSeries:

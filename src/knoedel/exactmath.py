@@ -27,14 +27,19 @@ the product of the denominators (``_convolve``), and each reduces its
 result once, by one ``gcd`` of the denominator and all numerators.
 Scalars enter as integers, and the Horner loop adds a polynomial's
 integer numerators, dividing by its denominator once at the end.
-``Fraction``s appear only at the edge: ``coeffs`` forms its tuple on the
-first read and keeps it, ``coeff(k)`` forms only the value asked for
-until then, and an element built from scalars keeps the
-``Fraction``s it was given and forms its integers only on its first
-arithmetic, so building a series and reading it back does no integer
-work.  ``_convolve`` drops each operand's trailing zeros, which makes a
-product with a padded sparse series, such as the cubic x(t) held to
-order n, cost O(n), so composing with it is O(n^2).
+Before its first arithmetic an element built from coefficients holds
+them as reduced (numerator, denominator) integer pairs, and forms its
+numerators over their LCM only when an operation needs them; ``terms()``
+reads the pairs back, so a series built from pairs, as each printed
+series is, is read back without a ``Fraction``.  ``lowest_terms``
+reduces a pair whose denominator is a power of one base, for those
+series and for the masses of ``table``.  ``Fraction``s appear only at
+the edge: ``coeffs`` forms its tuple on the first read and keeps it,
+``coeff(k)`` forms only the value asked for until then, and a
+constructor given ``Fraction``s keeps them as that tuple.  ``_convolve``
+drops each operand's trailing zeros, which makes a product with a
+padded sparse series, such as the cubic x(t) held to order n, cost
+O(n), so composing with it is O(n^2).
 
 The reciprocal and the reversion are both Newton's method, which doubles
 the number of correct coefficients each pass (Brent and Kung, "Fast
@@ -85,6 +90,32 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+# Python's ints are stored in 30-bit digits: a number below this is one digit.
+_WORD = 1 << 30
+
+
+def word_power(base: int) -> int:
+    """The largest k of at least 1 with base**k below ``_WORD``, for base >= 2."""
+    k = 1
+    while base ** (k + 1) < _WORD:
+        k += 1
+    return k
+
+
+def lowest_terms(m: int, den: int, word: int, base: int) -> tuple[int, int]:
+    """m / den in lowest terms, as (numerator, denominator), for den =
+    base**e and ``word`` = base**min(e, ``word_power(base)``).
+
+    g = gcd(m, word) is a remainder and a word gcd when word is one
+    digit, and gcd(m, den) = g * gcd(m/g, den/g).  Every prime factor of
+    den/g divides base, so g is the whole gcd when m/g is coprime to
+    base; otherwise the full gcd is taken."""
+    g = gcd(m, word)
+    if gcd(m // g, base) > 1:
+        g = gcd(m, den)
+    return m // g, den // g
+
+
 def _trimmed(nums: Sequence[int]) -> Sequence[int]:
     """``nums`` without its trailing zeros."""
     end = len(nums)
@@ -117,19 +148,20 @@ def _convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
 
 class _Ring:
     """``_nums / _den`` in canonical form, ``gcd(_den, *_nums) == 1``, or,
-    until its first arithmetic, only ``_fracs``, the ``Fraction``s it was
-    built from.  A subclass adds its constructor, ``*``, ``_TRIM`` (drop
+    until its first arithmetic, only ``_terms``, the reduced
+    (numerator, denominator) pairs it was built from.  ``_fracs`` caches
+    ``coeffs``.  A subclass adds its constructor, ``*``, ``_TRIM`` (drop
     trailing zeros) and ``_pairs`` (how ``+`` pairs up coefficients of
     unequal lengths)."""
 
-    __slots__ = ("_fracs", "_nums", "_den")
+    __slots__ = ("_terms", "_fracs", "_nums", "_den")
     _TRIM = False
 
     @classmethod
     def _raw(cls, nums: tuple[int, ...], den: int):
         """The element ``nums / den``, which must already be canonical."""
         out = object.__new__(cls)
-        out._fracs, out._nums, out._den = None, nums, den
+        out._terms, out._fracs, out._nums, out._den = None, None, nums, den
         return out
 
     @classmethod
@@ -142,31 +174,46 @@ class _Ring:
             return cls._raw(tuple(nums), den)
         return cls._raw(tuple([x // g for x in nums]), den // g)
 
+    def _from_scalars(self, vals: list[Fraction]) -> None:
+        """Hold ``vals`` as pairs, keeping the ``Fraction``s as ``coeffs``."""
+        self._fracs, self._nums, self._den = tuple(vals), None, None
+        self._terms = tuple([(c.numerator, c.denominator) for c in vals])
+
     def _ints(self) -> tuple[tuple[int, ...], int]:
         """The numerators and their common denominator."""
         if self._nums is None:
-            # Each Fraction is reduced, so the numerators over the LCM of
+            # Each pair is reduced, so the numerators over the LCM of
             # their denominators share no factor with it.
-            den = lcm(*(c.denominator for c in self._fracs))
-            self._nums = tuple(c.numerator * (den // c.denominator) for c in self._fracs)
+            den = lcm(*(d for _, d in self._terms))
+            self._nums = tuple([n * (den // d) for n, d in self._terms])
             self._den = den
         return self._nums, self._den
 
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """Each coefficient as a reduced (numerator, denominator) pair:
+        the pairs the element was built from, or else derived from its
+        numerators by one gcd each."""
+        if self._terms is not None:
+            return self._terms
+        den = self._den
+        return tuple([(x // g, den // g) for x in self._nums for g in (gcd(x, den),)])
+
     def _length(self) -> int:
-        return len(self._nums if self._fracs is None else self._fracs)
+        return len(self._terms if self._nums is None else self._nums)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, formed on the first read and kept."""
         if self._fracs is None:
-            den = self._den
-            self._fracs = tuple(Fraction(x, den) for x in self._nums)
+            self._fracs = tuple(map(self._coeff, range(self._length())))
         return self._fracs
 
     def _coeff(self, k: int) -> Fraction:
         """Coefficient ``k``, formed alone if the tuple is not yet formed."""
         if self._fracs is not None:
             return self._fracs[k]
+        if self._terms is not None:
+            return Fraction(*self._terms[k])
         return Fraction(self._nums[k], self._den)
 
     def __add__(self, other: object):
@@ -238,7 +285,19 @@ class TruncatedSeries(_Ring):
             vals.extend([Fraction(0)] * (order - len(vals)))
         elif not vals:
             raise ValueError("empty coefficient list needs an explicit order")
-        self._fracs, self._nums, self._den = tuple(vals), None, 1
+        self._from_scalars(vals)
+
+    @classmethod
+    def from_terms(cls, terms: Iterable[tuple[int, int]]) -> TruncatedSeries:
+        """The series whose coefficients are ``terms``, (numerator,
+        denominator) pairs in lowest terms with positive denominators,
+        which ``terms()`` then returns as they are."""
+        terms = tuple(terms)
+        if not terms:
+            raise ValueError("order must be at least 1")
+        out = object.__new__(cls)
+        out._terms, out._fracs, out._nums, out._den = terms, None, None, None
+        return out
 
     @classmethod
     def identity(cls, order: int) -> TruncatedSeries:
@@ -347,7 +406,7 @@ class Polynomial(_Ring):
         vals = [_as_fraction(c) for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
-        self._fracs, self._nums, self._den = tuple(vals), None, 1
+        self._from_scalars(vals)
 
     @classmethod
     def x(cls) -> Polynomial:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import knoedel
 from knoedel import cli, closedforms, verification
+from knoedel.exactmath import _WORD, lowest_terms, word_power
 from knoedel.cli import _emit, decimal_string, main
 from knoedel.models import WalkModel, dp_numerators, dp_table, state_sort_key
 
@@ -205,8 +206,8 @@ def old_table_output(model, steps, digits, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("digits", [3, 40])
-# 5/6 and 1/2**31 reduce masses by ``cli._lowest_terms`` for a composite b
-# and for b past one 30-bit digit.
+# 5/6 and 1/2**31 reduce masses by ``exactmath.lowest_terms`` for a
+# composite b and for b past one 30-bit digit.
 @pytest.mark.parametrize("p", [None, "2/7", "5/6", "1/2147483648"])
 @pytest.mark.parametrize("model", ["double-large", "double-small"])
 def test_table_output_matches_dict_rows(capsys, model, p, digits, fmt):
@@ -255,7 +256,7 @@ def smallest_prime_factor(n):
     return next((q for q in range(2, 50000) if n % q == 0), n)
 
 
-# Denominators of p for ``_lowest_terms``: primes, composites, and the
+# Denominators of p for ``lowest_terms``: primes, composites, and the
 # bases around one 30-bit digit and past it, where the word is b itself.
 REDUCTION_BASES = [2, 3, 5, 7, 31, 2**31 - 1, 6, 10, 12, 30, 6**20,
                    2**30 - 1, 2**30, 2**31, 10**40]
@@ -285,10 +286,10 @@ def masses_over_powers(draw):
 def test_lowest_terms_matches_fraction(case):
     b, e, m = case
     den = b**e
-    k = cli._word_power(b)
-    assert k >= 1 and (b**k < cli._WORD or k == 1) and b ** (k + 1) >= cli._WORD
+    k = word_power(b)
+    assert k >= 1 and (b**k < _WORD or k == 1) and b ** (k + 1) >= _WORD
     value = Fraction(m, den)
-    assert cli._lowest_terms(m, den, b ** min(e, k), b) == (value.numerator, value.denominator)
+    assert lowest_terms(m, den, b ** min(e, k), b) == (value.numerator, value.denominator)
 
 
 def test_table_reduces_by_the_denominator_power_not_the_step(capsys):
@@ -298,6 +299,28 @@ def test_table_reduces_by_the_denominator_power_not_the_step(capsys):
                              "--p", "9/10")
     assert code == 0 and err == ""
     assert "double-small,5,2,198,625,0.3168" in out.splitlines()
+
+
+@given(
+    st.integers(min_value=1, max_value=2**70),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=1, max_value=300),
+)
+# The edges of the band that builds both powers, with 2**(bits - 1) <=
+# base < 2**bits: bits * power = 3 * digits is answered by the lower
+# bit-length test, and one more is inside the band and can be True;
+# (bits - 1) * power = 4 * digits is inside the band, and so is one less,
+# which can be False; one more is answered by the upper test.
+@example(7, 100, 100)
+@example(10, 1, 1)
+@example(8, 1, 1)
+@example(16, 100, 100)
+@example(2, 401, 100)
+# Inside the band, just below and at 10**digits.
+@example(10**50 - 1, 1, 50)
+@example(10, 50, 50)
+def test_too_long_answers_as_the_powers_do(base, power, digits):
+    assert cli._too_long(base, power, digits) == (base**power >= 10**digits)
 
 
 # Mid-size p: a power of ten, or a/b with a large prime b.
@@ -701,6 +724,31 @@ def test_series_tokens_print_their_recurrence_rows_at_the_order_cap(capsys, fmt)
             assert out == json.dumps(rows, indent=2) + "\n"
         else:
             assert out == dict_writer_output(cli.SERIES_HEADER, rows)
+
+
+def test_a_series_request_forms_no_fraction(monkeypatch):
+    """A ``series`` request calls its token's series function once and
+    prints the integer pairs that series holds, forming no ``Fraction``."""
+    calls, made = [], []
+    token, new = cli.SERIES_TOKENS["g0"], Fraction.__new__
+
+    def counted_token(order):
+        calls.append(order)
+        return token(order)
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setitem(cli.SERIES_TOKENS, "g0", counted_token)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["series", "--which", "g0", "--order", "200"]) == 0
+    assert calls == [200] and made == []
+    assert out.getvalue().count("\n") == 201
+    # The count sees a Fraction formed while the wrapper is in place.
+    assert Fraction(1, 3) and made == [(1, 3)]
 
 
 def test_series_order_bounds(capsys):

@@ -242,6 +242,18 @@ def test_series_recurrences_reproduce_the_closed_formulas(which):
         assert series(order).coeffs == tuple(formula(k) for k in range(order)), order
 
 
+@pytest.mark.parametrize("which", sorted(SERIES_TOKENS))
+def test_series_terms_are_the_coefficients_in_lowest_terms(which):
+    """``series`` prints ``terms()``: each coefficient's numerator and
+    denominator in lowest terms, as a ``Fraction`` holds them.  The same
+    series in canonical integer form derives the same pairs."""
+    for order in (1, 2, SERIES_ORDER_CAP, 2 * SERIES_ORDER_CAP):
+        series = SERIES_TOKENS[which](order)
+        want = tuple((c.numerator, c.denominator) for c in series.coeffs)
+        assert series.terms() == want, order
+        assert (series * 1).terms() == want, order
+
+
 def _theta_minus(shift, num, den):
     """(theta - shift)(num / den) for a rational function of t, where
     theta = x d/dx is t (1-t) / (1-3t) d/dt, since dx/dt =

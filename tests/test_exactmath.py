@@ -256,6 +256,21 @@ def test_series_from_fractions_reads_back_without_integers():
     assert_canonical(series * 1)
 
 
+def test_series_from_terms_reads_back_its_pairs():
+    """A series built from reduced pairs returns them from ``terms()``
+    and forms its integers only for arithmetic; in canonical form it
+    derives the same pairs."""
+    terms = ((0, 1), (4, 27), (-5, 6), (7, 1))
+    series = TruncatedSeries.from_terms(terms)
+    assert series.terms() == terms and series._nums is None
+    assert series.coeffs == (0, Fraction(4, 27), Fraction(-5, 6), 7)
+    assert series == TruncatedSeries(series.coeffs)
+    assert_canonical(series * 1)
+    assert (series * 1).terms() == terms
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_terms(())
+
+
 def test_series_constructor_pads_and_truncates():
     s = TruncatedSeries([1, 2, 3], order=5)
     assert s.coeffs == (1, 2, 3, 0, 0)

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import knoedel
-from knoedel import cli
+from knoedel import cli, exactmath
 from knoedel.models import WalkModel, dp_numerators
 
 MINIMUM = (3, 10, 7)  # pyproject.toml's requires-python
@@ -40,6 +40,9 @@ COMMANDS = [
      "--source", "closed-form", "--format", "json"],
     *(["series", "--which", which, "--order", "200", "--format", fmt]
       for which in ("g0", "t") for fmt in ("csv", "json")),
+    # Rows over 3 27^k, and t's a_0 = 0, which takes the full gcd.
+    ["series", "--which", "u1", "--order", "200", "--format", "json"],
+    ["series", "--which", "t", "--order", "1", "--digits", "3"],
 ]
 
 # Each command's stdout follows a line naming it and is followed by its
@@ -90,15 +93,15 @@ def run_commands(python: str) -> bytes:
 
 def test_a_table_takes_the_full_gcd(monkeypatch):
     """``FULL_GCD_TABLE`` reduces some mass by the full gcd of
-    ``cli._lowest_terms``, a third gcd besides its two per mass, so every
-    interpreter runs that branch too."""
+    ``exactmath.lowest_terms``, a third gcd besides its two per mass, so
+    every interpreter runs that branch too."""
     calls = []
 
     def counted_gcd(a, b):
         calls.append(b)
         return math.gcd(a, b)
 
-    monkeypatch.setattr(cli, "gcd", counted_gcd)
+    monkeypatch.setattr(exactmath, "gcd", counted_gcd)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(FULL_GCD_TABLE) == 0
     walk = WalkModel.double_small(Fraction(9, 10))
