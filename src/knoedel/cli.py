@@ -60,11 +60,13 @@ at any step count and is answered at once.  ``series --order`` and
 ``verify --trials`` must be positive, and trials times steps (counted
 as at least one) may not pass ``TRIAL_DRAW_CAP``, 10**8 draws per
 simulation; ``verify`` counts the steps of its simulation suite.  Both
-checks run before numpy is imported.  Every size check reads one digit
-budget, ``_digit_limit``: Python's integer-to-string limit where that is
-below its default of 4300 digits, and the default where the limit is
-raised or switched off (0), so no setting lifts a budget.  An exact
-value with more digits than the budget is a usage error.  ``table``,
+checks run before numpy is imported.  Within the caps a request answers
+within seconds, ``verify`` at both caps within 30 s, and its process
+peaks below a memory budget of 64 MB resident.  Every size check reads
+one digit budget, ``_digit_limit``: Python's integer-to-string limit
+where that is below its default of 4300 digits, and the default where
+the limit is raised or switched off (0), so no setting lifts a budget.
+An exact value with more digits than the budget is a usage error.  ``table``,
 ``simulate`` and ``coeff --source dp`` decide that before any DP or
 simulation runs, from p's denominator: the largest denominator at step
 n is a known power of it (``models.denominator_power``) that never

@@ -350,35 +350,6 @@ def test_table_text_bounds_what_table_prints(kind, p, steps, digits, fmt):
     assert len(out.getvalue()) <= cli._table_text(walk, steps, digits, fmt)
 
 
-def test_table_refuses_past_its_text_cap_before_the_dp(capsys, monkeypatch):
-    """The largest table ``table`` prints at p = 1e-21 passes; one step
-    more is refused before the DP, and so is the table of 200 steps, which
-    would print 58 MB."""
-    walk = WalkModel.double_large(Fraction(1, 10**21))
-    steps = max(n for n in range(201) if cli._table_text(walk, n, 12, "csv") <= cli.TABLE_TEXT_CAP)
-    argv = ["table", "--model", "double-large", "--p", "1e-21", "--steps"]
-    with int_str_limit(4300):
-        code, out, err = run_cli(capsys, *argv, str(steps))
-    assert code == 0 and err == ""
-    assert out.splitlines()[-1].startswith(f"double-large,{steps},")
-
-    def dp_numerators(model, first, last):
-        raise AssertionError(f"the DP ran to {last} steps")
-
-    monkeypatch.setattr(cli, "dp_numerators", dp_numerators)
-    for n in (steps + 1, 200):
-        start = time.perf_counter()
-        with int_str_limit(4300):
-            code, out, err = run_cli(capsys, *argv, str(n))
-        assert time.perf_counter() - start < 1
-        assert code == 2 and out == ""
-        size = cli._table_text(walk, n, 12, "csv")
-        assert err == (f"error: a table of {n} steps may print {size} characters, "
-                       f"past the safety cap of {cli.TABLE_TEXT_CAP}\n")
-    # The largest table at the default p, which is bigger in JSON.
-    assert cli._table_text(WalkModel.double_large(), 200, 12, "json") < cli.TABLE_TEXT_CAP
-
-
 def test_table_csv_output(capsys):
     code, out, err = run_cli(
         capsys, "table", "--model", "double-large", "--steps", "2"
@@ -410,103 +381,6 @@ def test_table_json_output(capsys):
     }
     final = [r for r in rows if r["step"] == 3]
     assert [(r["state"], r["num"], r["den"]) for r in final] == [("0", 5, 9), ("3", 4, 9)]
-
-
-def test_table_respects_step_cap(capsys):
-    """``table`` and ``simulate --steps`` share the cap of 200."""
-    for command in (["table"], ["simulate", "--trials", "10"]):
-        code, out, err = run_cli(capsys, *command, "--model", "double-large", "--steps", "201")
-        assert code == 2 and out == ""
-        assert err == "error: steps 201 exceeds the safety cap 200\n"
-        code, out, err = run_cli(capsys, *command, "--model", "double-small", "--steps", "200")
-        assert code == 0 and err == ""
-        assert out.splitlines()[-1].startswith("double-small,200,")
-
-
-def test_step_cap_ignores_the_environment(capsys, monkeypatch):
-    """``KNOEDEL_MAX_STEPS``, which once moved the cap, no longer does."""
-    monkeypatch.setenv("KNOEDEL_MAX_STEPS", "1000")
-    code, out, err = run_cli(capsys, "table", "--model", "double-large", "--steps", "201")
-    assert code == 2 and out == ""
-    assert err == "error: steps 201 exceeds the safety cap 200\n"
-
-
-DP_COEFF = ["coeff", "--model", "double-large", "--state", "0", "--source", "dp"]
-
-
-def test_coeff_dp_respects_its_own_step_cap(capsys):
-    """``coeff --source dp`` is capped at 1000 steps, not at the 200 of
-    ``table``, and the closed form's own cap is higher."""
-    code, out, err = run_cli(capsys, *DP_COEFF, "--steps", "1001")
-    assert code == 2 and out == ""
-    assert err == "error: steps 1001 exceeds the safety cap 1000\n"
-    code, out, err = run_cli(capsys, *DP_COEFF, "--steps", "1000")
-    assert code == 0 and err == ""
-    assert out.splitlines()[1] == "double-large,1000,0,dp,0,1,0,off-residue"
-    code, out, _ = run_cli(capsys, *DP_COEFF[:-1], "closed-form", "--steps", "1001")
-    assert code == 0 and out.splitlines()[1].startswith("double-large,1001,0,closed-form,")
-    code, _, err = run_cli(capsys, *DP_COEFF, "--steps", "-1")
-    assert code == 2 and err == "error: steps must be non-negative\n"
-
-
-CLOSED_FORM_COEFF = ["coeff", "--source", "closed-form"]
-
-
-@pytest.mark.parametrize("model, state, steps", [
-    ("double-small", "0", 300000),
-    ("double-large", "0", 15003),
-    ("double-large", "beta", 15001),
-    ("double-small", "15001", 15001),
-])
-def test_coeff_closed_form_refuses_past_its_step_cap(capsys, model, state, steps):
-    """A state that can carry mass past 15000 steps is refused before any
-    sum; at 300000 steps the sum would take 13 s to reach a value too long
-    to print."""
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, *CLOSED_FORM_COEFF, "--model", model, "--state", state,
-                             "--steps", str(steps))
-    assert time.perf_counter() - start < 1
-    assert code == 2 and out == ""
-    assert err == f"error: steps {steps} exceeds the safety cap 15000\n"
-
-
-@pytest.mark.parametrize("model, state, steps, note", [
-    ("double-large", "1", 300000, "off-residue"),
-    ("double-large", "beta", 300000, "off-residue"),
-    # On the residue class, beyond the frontier of 600000 and 300000.
-    ("double-large", "900000", 300000, ""),
-    ("double-small", "300003", 300000, ""),
-])
-def test_coeff_closed_form_answers_zeros_past_its_step_cap(capsys, model, state, steps, note):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, *CLOSED_FORM_COEFF, "--model", model, "--state", state,
-                             "--steps", str(steps))
-    assert time.perf_counter() - start < 1
-    assert code == 0 and err == ""
-    assert out.splitlines()[1] == f"{model},{steps},{state},closed-form,0,1,0,{note}"
-
-
-def test_coeff_dp_refuses_huge_denominators_before_the_dp(capsys, monkeypatch):
-    """The DP's largest denominator b**denominator_power may have at most
-    4300 digits, the budget and message of ``table`` and ``simulate``:
-    (10**8 - 1)**537 has 4296 digits and (10**8 - 1)**538 has 4304, and
-    10**600000 and 10**4299000 are refused without being built (the
-    second takes about 2 s to build)."""
-    with int_str_limit(4300):
-        code, out, err = run_cli(capsys, *DP_COEFF, "--steps", "537", "--p", "1/99999999")
-        assert code == 0 and err == ""
-        assert out.splitlines()[1].startswith("double-large,537,0,dp,")
-        def dp_distribution(model, steps):
-            raise AssertionError(f"the DP ran to {steps} steps")
-
-        monkeypatch.setattr(cli, "dp_distribution", dp_distribution)
-        for steps, p in (("538", "1/99999999"), ("300", "1e-2000"), ("1000", "1e-4299")):
-            start = time.perf_counter()
-            code, out, err = run_cli(capsys, *DP_COEFF, "--steps", steps, "--p", p)
-            assert time.perf_counter() - start < 1
-            assert code == 2 and out == ""
-            assert err == (f"error: the exact value at {steps} steps has more than 4300 digits, "
-                           "past the digit budget of 4300\n")
 
 
 def test_coeff_closed_form_beta(capsys):
@@ -544,59 +418,270 @@ def test_coeff_dp_accepts_general_probability(capsys):
     assert out.splitlines()[1] == "double-large,1,2,dp,1,2,0.5,"
 
 
-def test_coeff_closed_form_rejects_general_probability(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "coeff", "--model", "double-large", "--state", "2", "--steps", "1",
-        "--p", "1/2", "--source", "closed-form",
-    )
-    assert code == 2
-    assert "balanced" in err
+DL, DS = ["--model", "double-large"], ["--model", "double-small"]
+DP_COEFF = ["coeff", *DL, "--state", "0", "--source", "dp"]
+CLOSED_FORM_COEFF = ["coeff", "--source", "closed-form"]
 
 
-def test_coeff_rejects_bad_state(capsys):
-    code, _, err = run_cli(
-        capsys, "coeff", "--model", "double-large", "--state", "sigma", "--steps", "1"
-    )
-    assert code == 2
-    assert "invalid state" in err
+def past_budget(steps, budget=4300):
+    """The line that refuses an exact value with more digits than the budget."""
+    return (f"error: the exact value at {steps} steps has more than {budget} digits, "
+            f"past the digit budget of {budget}\n")
 
 
 # Each command meets a value of more than 4300 digits, Python's default
 # int-to-string limit, and names the step it first meets it at.
 UNPRINTABLE = [
     # The closed-form value's denominator 3^(3N-j) at 15000 steps.
-    (["coeff", "--model", "double-large", "--state", "0", "--steps", "15000",
-      "--source", "closed-form"], 15000),
+    ([*CLOSED_FORM_COEFF, *DL, "--state", "0", "--steps", "15000"], 15000),
     # Denominators 10^6000 at step 3: p = 1/10^2000 over three draws.
-    (["table", "--model", "double-large", "--steps", "3", "--p", "1e-2000"], 3),
+    (["table", *DL, "--steps", "3", "--p", "1e-2000"], 3),
     # The same step refused before a DP over 100 steps of 2000-digit weights.
-    (["table", "--model", "double-large", "--steps", "100", "--p", "1e-2000"], 3),
+    (["table", *DL, "--steps", "100", "--p", "1e-2000"], 3),
     # Denominators 10^4500 at step 4; the first double-small step moves
     # 0 -> 1 on either colour, so it adds no factor.
-    (["simulate", "--model", "double-small", "--steps", "4", "--trials", "5",
-      "--p", "1e-1500"], 4),
+    (["simulate", *DS, "--steps", "4", "--trials", "5", "--p", "1e-1500"], 4),
     # Refused before the simulation and the DP of 200 steps.
-    (["simulate", "--model", "double-small", "--steps", "200", "--trials", "10",
-      "--p", "1e-2000"], 200),
+    (["simulate", *DS, "--steps", "200", "--trials", "10", "--p", "1e-2000"], 200),
+]
+LONG_P, LONG_STATE = "1/" + "0" * 4998, "x" * 5000
+
+# Every refusal past argparse that is not at a cap constant: (argv,
+# integer-to-string limit, the one line on stderr).
+REFUSALS = [
+    *[([*argv, "--format", fmt], 4300, past_budget(steps))
+      for argv, steps in UNPRINTABLE for fmt in ("csv", "json")],
+    # ``coeff --source dp`` meets the budget of ``table`` before its DP:
+    # (10**8 - 1)**538 has 4304 digits, and 10**4299000 would take 2 s
+    # to build.
+    ([*DP_COEFF, "--steps", "538", "--p", "1/99999999"], 4300, past_budget(538)),
+    ([*DP_COEFF, "--steps", "300", "--p", "1e-2000"], 4300, past_budget(300)),
+    ([*DP_COEFF, "--steps", "1000", "--p", "1e-4299"], 4300, past_budget(1000)),
+    # ``--p 1e-N`` gets the exit code of 1/10^N written out, which ``int``
+    # refuses from N = 640 on at a limit of 640.
+    (["table", *DS, "--steps", "1", "--p", "1e-640"], 640,
+     "error: the exponent of --p must be below 640 in magnitude: 10**640 is past the digit "
+     "budget of 640\n"),
+    (["table", *DS, "--steps", "1", "--p", "1/1" + "0" * 640], 640,
+     f"error: invalid probability {'1/1' + '0' * 37!r}...\n"),
+    # ``--digits`` obeys the limit the num and den columns obey.
+    (["coeff", *DL, "--state", "2", "--steps", "1", "--digits", "641"], 640,
+     "error: digits must be at most the digit budget of 640\n"),
+    (["series", "--which", "t", "--order", "2", "--digits", "0"], 4300,
+     "error: digits must be at least 1\n"),
+    ([*DP_COEFF, "--steps", "-1"], 4300, "error: steps must be non-negative\n"),
+    (["coeff", *DL, "--state", "2", "--steps", "1", "--p", "1/2", "--source", "closed-form"],
+     4300, "error: closed forms require the balanced probabilities (p=1/3 for double-large, "
+     "p=2/3 for double-small)\n"),
+    (["coeff", *DL, "--state", "sigma", "--steps", "1"], 4300,
+     "error: invalid state 'sigma'\n"),
+    (["table", *DL, "--steps", "2", "--p", "7/3"], 4300,
+     "error: red probability must satisfy 0 < p < 1\n"),
+    # A 5000-character argument is quoted by its first 40 characters.
+    (["table", *DL, "--steps", "2", "--p", LONG_P], 4300,
+     f"error: invalid probability {LONG_P[:40]!r}...\n"),
+    (["coeff", *DL, "--steps", "2", "--state", LONG_STATE], 4300,
+     f"error: invalid state {LONG_STATE[:40]!r}...\n"),
+    (["simulate", *DL, "--steps", "2", "--trials", "0"], 4300,
+     "error: trials must be positive\n"),
+    (["verify", "--order", "5", "--max-steps", "9", "--trials", "0"], 4300,
+     "error: trials must be positive\n"),
+    (["series", "--which", "t", "--order", "0"], 4300,
+     "error: order must be between 1 and 200\n"),
 ]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_coeff_past_the_int_string_limit_is_usage_error(capsys, fmt):
-    runs = []
-    with int_str_limit(4300):
-        for command, _ in UNPRINTABLE:
-            start = time.perf_counter()
-            runs.append(run_cli(capsys, *command, "--format", fmt))
-            runs[-1] += (time.perf_counter() - start,)
-    for (command, step), (code, out, err, elapsed) in zip(UNPRINTABLE, runs):
-        assert code == 2, command[0]
-        assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith("error: ") and "4300 digits" in err
-        assert f" at {step} steps " in err
-        assert elapsed < 3, f"{' '.join(command)} took {elapsed:.1f} s"
+def past_cap(name, value, cap):
+    return f"error: {name} {value} exceeds the safety cap {cap}\n"
+
+
+PAST_DRAW_CAP = "error: trials times steps exceeds the safety cap of 100000000 draws\n"
+# Seconds any argv may take, from ``test_any_argv_answers_or_refuses_in_one_line``.
+ANY_ARGV_SECONDS = 10
+
+# For each cap constant of ``cli``: (requests just inside it, refusals
+# just outside it).  An inside request is (argv, stderr, seconds), "" on
+# stderr for an answer; a refusal is (argv, the one line on stderr).
+CAPS = {
+    # ``table``, ``simulate --steps`` and ``verify --max-steps``.  The
+    # largest table at the default p also stays under ``TABLE_TEXT_CAP``.
+    "STEP_CAP": (
+        [(["table", *DL, "--steps", "200", "--format", "json"], "", ANY_ARGV_SECONDS)],
+        [(["table", *DL, "--steps", "201"], past_cap("steps", 201, 200)),
+         (["simulate", "--trials", "10", *DL, "--steps", "201"], past_cap("steps", 201, 200)),
+         (["verify", "--max-steps", "201", "--trials", "100"],
+          past_cap("max-steps", 201, 200))],
+    ),
+    "DP_STEP_CAP": (
+        [([*DP_COEFF, "--steps", "1000", "--p", "1/7"], "", ANY_ARGV_SECONDS)],
+        [([*DP_COEFF, "--steps", "1001"], past_cap("steps", 1001, 1000))],
+    ),
+    # A closed-form value that carries mass is past the digit budget from
+    # about 9020 steps on (for states up to 120 the last answered step is
+    # 9020 for double-large and 9021 for double-small), so the inside
+    # request, the slowest sum at the cap, is refused after its sum,
+    # within 3 s.  Past the cap a state that can carry mass is refused
+    # before any sum; at 300000 steps the sum would take 13 s.
+    "CLOSED_FORM_STEP_CAP": (
+        [([*CLOSED_FORM_COEFF, *DL, "--state", "9000", "--steps", "15000"],
+          past_budget(15000), 3)],
+        [([*CLOSED_FORM_COEFF, *DS, "--state", "0", "--steps", "300000"],
+          past_cap("steps", 300000, 15000)),
+         ([*CLOSED_FORM_COEFF, *DL, "--state", "0", "--steps", "15003"],
+          past_cap("steps", 15003, 15000)),
+         ([*CLOSED_FORM_COEFF, *DL, "--state", "beta", "--steps", "15001"],
+          past_cap("steps", 15001, 15000)),
+         ([*CLOSED_FORM_COEFF, *DS, "--state", "15001", "--steps", "15001"],
+          past_cap("steps", 15001, 15000))],
+    ),
+    # ``series --order`` and ``verify --order``; verify's exit 0 means
+    # every suite passed at both of its caps.
+    "SERIES_ORDER_CAP": (
+        [(["series", "--which", "g0", "--order", "200", "--format", "json"], "",
+          ANY_ARGV_SECONDS),
+         (["verify", "--order", "200", "--max-steps", "200", "--trials", "100"], "", 30)],
+        [(["series", "--which", "t", "--order", "201"],
+          "error: order must be between 1 and 200\n"),
+         (["verify", "--order", "201", "--trials", "100"],
+          "error: order must be between 2 and 200\n")],
+    ),
+    "TRIAL_DRAW_CAP": (
+        [(["simulate", *DS, "--steps", "200", "--trials", "500000"], "", ANY_ARGV_SECONDS)],
+        [(["simulate", *DS, "--steps", "200", "--trials", "500001"], PAST_DRAW_CAP),
+         (["simulate", *DL, "--steps", "12", "--trials", "100000000000"], PAST_DRAW_CAP),
+         (["verify", "--order", "5", "--max-steps", "9", "--trials", "100000000000"],
+          PAST_DRAW_CAP)],
+    ),
+    # The largest tables at p = 1e-21 and 1e-60, and one step more; the
+    # table of 200 steps at 1e-21 would print 58 MB.
+    "TABLE_TEXT_CAP": (
+        [(["table", *DL, "--p", "1e-21", "--steps", "83"], "", ANY_ARGV_SECONDS),
+         (["table", *DL, "--p", "1e-60", "--steps", "58"], "", ANY_ARGV_SECONDS)],
+        [(["table", *DL, "--p", f"1e-{k}", "--steps", str(n)],
+          f"error: a table of {n} steps may print {size} characters, past the safety cap "
+          "of 6000000\n")
+         for k, n, size in ((21, 84, 6021116), (21, 200, 77427452), (60, 59, 6042794))],
+    ),
+}
+
+# Requests answered at the edge of a refusal: (argv, integer-to-string
+# limit, the start of stdout's last line, with its "\n" where it is all of it).
+ANSWERS = [
+    (["table", *DS, "--steps", "200"], 4300, "double-small,200,"),
+    (["simulate", "--trials", "10", *DS, "--steps", "200"], 4300, "double-small,200,"),
+    ([*DP_COEFF, "--steps", "1000"], 4300, "double-large,1000,0,dp,0,1,0,off-residue\n"),
+    # The closed form's cap is not the DP's.
+    ([*CLOSED_FORM_COEFF, *DL, "--state", "0", "--steps", "1001"], 4300,
+     "double-large,1001,0,closed-form,"),
+    # (10**8 - 1)**537 has 4296 digits.
+    ([*DP_COEFF, "--steps", "537", "--p", "1/99999999"], 4300, "double-large,537,0,dp,"),
+    (["table", *DS, "--steps", "1", "--p", "1e-639"], 640, "double-small,1,1,1,1,1\n"),
+    (["table", *DS, "--steps", "1", "--p", "1/1" + "0" * 639], 640, "double-small,1,1,1,1,1\n"),
+    (["coeff", *DL, "--state", "2", "--steps", "1", "--digits", "640"], 640,
+     "double-large,1,2,dp,1,3,0." + "3" * 640 + ",\n"),
+    (["table", *DL, "--p", "1e-21", "--steps", "83"], 4300, "double-large,83,"),
+]
+
+
+def argv_id(argv, limit=4300):
+    """A short test id: argv without ``--model`` and the dashes, each word
+    cut to 12 characters, and a limit other than 4300."""
+    words = [arg.removeprefix("--").removeprefix("double-") for arg in argv if arg != "--model"]
+    words = [word if len(word) <= 12 else word[:9] + "..." for word in words]
+    return " ".join(words) + ("" if limit == 4300 else f" @{limit}")
+
+
+CAP_REFUSALS = [(argv, 4300, line) for _, outside in CAPS.values() for argv, line in outside]
+
+
+@pytest.mark.parametrize("argv, limit, line", REFUSALS + CAP_REFUSALS,
+                         ids=[argv_id(argv, limit) for argv, limit, _ in REFUSALS + CAP_REFUSALS])
+def test_refusal(capsys, monkeypatch, argv, limit, line):
+    """Each refusal exits 2 within 1 s, with its one line on stderr and
+    nothing on stdout, before any DP, simulation or suite runs, and
+    whatever ``KNOEDEL_MAX_STEPS`` says: it once moved the step cap."""
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{argv[0]} ran {args or kwargs}")
+
+    for module, name in ((cli, "dp_numerators"), (cli, "dp_distribution"),
+                         (cli.montecarlo, "simulate"), (cli.verification, "run_verification")):
+        monkeypatch.setattr(module, name, reached)
+    monkeypatch.setenv("KNOEDEL_MAX_STEPS", "1000")
+    start = time.perf_counter()
+    with int_str_limit(limit):
+        code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", line)
+
+
+@pytest.mark.parametrize("argv, limit, last", ANSWERS,
+                         ids=[argv_id(argv, limit) for argv, limit, _ in ANSWERS])
+def test_answer_at_a_refusal_edge(capsys, argv, limit, last):
+    with int_str_limit(limit):
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines(keepends=True)[-1].startswith(last)
+
+
+def test_every_cap_has_requests_on_both_sides():
+    """A cap constant in ``cli`` lands with requests on each side of it,
+    and each refusal past it names its value."""
+    assert set(CAPS) == {name for name in vars(cli) if name.endswith("_CAP")}
+    for name, (inside, outside) in CAPS.items():
+        assert inside and outside, name
+        assert all(str(getattr(cli, name)) in line for _, line in outside), name
+
+
+# Peak resident memory any request just inside a cap may reach, in bytes.
+MEMORY_BUDGET = 64 * 10**6
+
+# Runs main on argv[1:] with stdout to the null device, and prints its
+# exit code, its seconds and the process's peak RSS in KiB.  The peak is
+# Linux's VmHWM, the child's own: ``ru_maxrss`` keeps the parent's peak
+# across exec, so under pytest it reads pytest's.
+BUDGET_CHILD = """\
+import contextlib, os, sys, time
+from knoedel.cli import main
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    start = time.perf_counter()
+    code = main(sys.argv[1:])
+    elapsed = time.perf_counter() - start
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, elapsed, peak)
+"""
+INSIDE_CAPS = [row for inside, _ in CAPS.values() for row in inside]
+
+
+@pytest.mark.parametrize("argv, line, seconds", INSIDE_CAPS,
+                         ids=[argv_id(argv) for argv, _, _ in INSIDE_CAPS])
+def test_time_and_memory_inside_a_cap(argv, line, seconds):
+    """Each request just inside a cap, in a child process of its own,
+    keeps its exit code, stderr and time bound, and peaks at no more
+    than ``MEMORY_BUDGET``."""
+    result = run_python("-c", BUDGET_CHILD, *argv, timeout=seconds + 30)
+    assert result.returncode == 0, result.stderr
+    code, elapsed, peak_kib = result.stdout.split()
+    assert (int(code), result.stderr) == (2 if line else 0, line)
+    assert float(elapsed) < seconds
+    peak = int(peak_kib) * 1024
+    assert peak <= MEMORY_BUDGET, f"peak RSS {peak / 10**6:.1f} MB"
+
+
+@pytest.mark.parametrize("model, state, steps, note", [
+    ("double-large", "1", 300000, "off-residue"),
+    ("double-large", "beta", 300000, "off-residue"),
+    # On the residue class, beyond the frontier of 600000 and 300000.
+    ("double-large", "900000", 300000, ""),
+    ("double-small", "300003", 300000, ""),
+])
+def test_coeff_closed_form_answers_zeros_past_its_step_cap(capsys, model, state, steps, note):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *CLOSED_FORM_COEFF, "--model", model, "--state", state,
+                             "--steps", str(steps))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == f"{model},{steps},{state},closed-form,0,1,0,{note}"
 
 
 @pytest.mark.parametrize(
@@ -622,23 +707,6 @@ def test_table_refuses_the_step_a_row_scan_would(capsys, model, p):
     assert err.startswith(f"error: the exact value at {scan} steps ")
 
 
-@pytest.mark.parametrize("n, want", [(639, 0), (640, 2)])
-def test_p_exponent_meets_the_limit_of_the_written_out_number(capsys, n, want):
-    """At the int-to-string limit of 640 digits, ``--p 1e-N`` gets the exit
-    code of ``--p 1/10^N`` written out in digits, which ``int`` refuses
-    from N = 640 on."""
-    spellings = [f"1e-{n}", "1/1" + "0" * n]
-    with int_str_limit(640):
-        runs = [
-            run_cli(capsys, "table", "--model", "double-small", "--steps", "1", "--p", p)
-            for p in spellings
-        ]
-    for p, (code, out, err) in zip(spellings, runs):
-        assert code == want, p[:10]
-        if want:
-            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-
-
 def test_p_with_a_huge_exponent_exits_at_once():
     """``Fraction("1e-100000000")`` would build 10**100000000 first."""
     result = run_python("-c", """\
@@ -655,33 +723,37 @@ print(code, time.perf_counter() - start)
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
-# Inputs whose size checks all rest on Python's integer-to-string limit.
-# When a limit of 0 switched the checks off, each of the first three ran
-# past 20 s and the fourth wrote 100 MB.  When a limit of 100000 raised
-# them, the fifth ran past 20 s and the last wrote 50 KB.
+# Inputs whose size checks all rest on Python's integer-to-string limit,
+# and the line each is refused with.  When a limit of 0 switched the
+# checks off, each of the first three ran past 20 s and the fourth wrote
+# 100 MB.  When a limit of 100000 raised them, the fifth ran past 20 s
+# and the last wrote 50 KB.
+DIGITS_PAST_BUDGET = "error: digits must be at most the digit budget of 4300\n"
 LIMIT_OFF_REFUSALS = {
-    "table": ["table", "--model", "double-large", "--steps", "200", "--p", "1e-3000"],
-    "simulate": ["simulate", "--model", "double-large", "--steps", "200", "--trials", "1",
-                 "--p", "1e-3000"],
-    "p-exponent": ["table", "--model", "double-small", "--steps", "3", "--p", "1e-100000000"],
-    "digits": ["series", "--which", "t", "--order", "2", "--digits", "100000000"],
-    "table-mid-p": ["table", "--model", "double-large", "--steps", "100", "--p", "1e-400"],
-    "mid-digits": ["series", "--which", "t", "--order", "2", "--digits", "50000"],
+    "table": (["table", *DL, "--steps", "200", "--p", "1e-3000"], past_budget(2)),
+    "simulate": (["simulate", *DL, "--steps", "200", "--trials", "1", "--p", "1e-3000"],
+                 past_budget(200)),
+    "p-exponent": (["table", *DS, "--steps", "3", "--p", "1e-100000000"],
+                   "error: the exponent of --p must be below 4300 in magnitude: 10**4300 "
+                   "is past the digit budget of 4300\n"),
+    "digits": (["series", "--which", "t", "--order", "2", "--digits", "100000000"],
+               DIGITS_PAST_BUDGET),
+    "table-mid-p": (["table", *DL, "--steps", "100", "--p", "1e-400"], past_budget(11)),
+    "mid-digits": (["series", "--which", "t", "--order", "2", "--digits", "50000"],
+                   DIGITS_PAST_BUDGET),
 }
 
 
 @pytest.mark.parametrize("setting", ["0", "100000"], ids=["off", "raised"])
-@pytest.mark.parametrize("argv", LIMIT_OFF_REFUSALS.values(), ids=LIMIT_OFF_REFUSALS.keys())
-def test_limit_switched_off_keeps_every_size_budget(monkeypatch, argv, setting):
+@pytest.mark.parametrize("argv, line", LIMIT_OFF_REFUSALS.values(), ids=LIMIT_OFF_REFUSALS.keys())
+def test_limit_switched_off_keeps_every_size_budget(monkeypatch, argv, line, setting):
     """With ``PYTHONINTMAXSTRDIGITS`` switched off (0) or raised past its
     default, the default limit of 4300 digits still holds."""
     monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", setting)
     start = time.perf_counter()
     result = run_python("-m", "knoedel", *argv, timeout=20)
     assert time.perf_counter() - start < 5
-    assert result.returncode == 2 and result.stdout == ""
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-    assert "4300" in result.stderr
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", line)
 
 
 def test_series_tokens(capsys):
@@ -751,37 +823,11 @@ def test_a_series_request_forms_no_fraction(monkeypatch):
     assert Fraction(1, 3) and made == [(1, 3)]
 
 
-def test_series_order_bounds(capsys):
-    code, _, err = run_cli(capsys, "series", "--which", "t", "--order", "0")
-    assert code == 2 and "order" in err
-    code, _, err = run_cli(capsys, "series", "--which", "t", "--order", "201")
-    assert code == 2 and "order" in err
-
-
 def test_digits_flag(capsys):
     code, out, _ = run_cli(
         capsys, "series", "--which", "t", "--order", "2", "--digits", "4"
     )
     assert out.splitlines()[2] == "t,1,4,27,0.1481"
-    code, out, err = run_cli(
-        capsys, "series", "--which", "t", "--order", "2", "--digits", "0"
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "digits" in err and len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("digits", [640, 641])
-def test_digits_up_to_the_int_string_limit(capsys, digits):
-    """``--digits`` obeys the limit the num and den columns obey."""
-    argv = ["coeff", "--model", "double-large", "--state", "2", "--steps", "1"]
-    with int_str_limit(640):
-        code, out, err = run_cli(capsys, *argv, "--digits", str(digits))
-    if digits == 640:
-        assert code == 0 and err == ""
-        assert out.splitlines()[1] == "double-large,1,2,dp,1,3,0." + "3" * 640 + ","
-    else:
-        assert code == 2 and out == ""
-        assert err == "error: digits must be at most the digit budget of 640\n"
 
 
 def test_simulate_output_and_determinism(capsys):
@@ -801,35 +847,18 @@ def test_simulate_output_and_determinism(capsys):
     assert first == second
 
 
-def test_simulate_requires_positive_trials(capsys):
-    code, _, err = run_cli(
-        capsys, "simulate", "--model", "double-large", "--steps", "2", "--trials", "0"
-    )
-    assert code == 2
-    assert "trials" in err
-
-
 class SimulationReached(Exception):
     """Raised by a stand-in for ``montecarlo.simulate``."""
 
 
-def test_trials_cap_refuses_before_simulating(capsys, monkeypatch):
-    """Over-cap trial counts, and a non-positive one on ``verify``, exit 2
-    with one line and never reach the simulation; 10**6 trials by 100
-    steps does."""
+def test_trials_cap_refuses_before_simulating(monkeypatch):
+    """``_check_trials`` counts trials times steps, a step count of 0 as
+    1; 10**6 trials by 100 steps reach the simulation.  The refusals of
+    the command line are in ``CAPS``."""
     def simulate(config):
         raise SimulationReached(config.trials)
 
     monkeypatch.setattr(cli.montecarlo, "simulate", simulate)
-    for argv in (
-        ["simulate", "--model", "double-large", "--steps", "12", "--trials", "100000000000"],
-        ["verify", "--order", "5", "--max-steps", "9", "--trials", "100000000000"],
-        ["verify", "--order", "5", "--max-steps", "9", "--trials", "0"],
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "trials" in err and "Traceback" not in err
     argv = ["simulate", "--model", "double-small", "--steps", "100", "--trials", "1000000"]
     with pytest.raises(SimulationReached):
         main(argv)
@@ -848,25 +877,6 @@ def test_verify_passes_at_reduced_sizes(capsys):
     lines = out.splitlines()
     assert all(line.startswith(("PASS", "overall")) for line in lines)
     assert lines[-1].startswith("overall: PASS")
-
-
-def test_verify_respects_step_and_order_caps(capsys):
-    for flag in ("--max-steps", "--order"):
-        code, out, err = run_cli(capsys, "verify", flag, "201", "--trials", "100")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
-
-
-def test_verify_at_both_caps_finishes_within_budget(capsys):
-    """The largest sizes verify accepts still answer in bounded time."""
-    start = time.perf_counter()
-    code, out, _ = run_cli(
-        capsys, "verify", "--order", "200", "--max-steps", "200", "--trials", "100"
-    )
-    elapsed = time.perf_counter() - start
-    assert code == 0
-    assert out.splitlines()[-1].startswith("overall: PASS")
-    assert elapsed < 30, f"verify at both caps took {elapsed:.1f} s"
 
 
 def test_verify_detects_corrupted_formula(capsys, monkeypatch):
@@ -934,27 +944,6 @@ def test_usage_errors_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-
-
-def test_invalid_probability_is_usage_error(capsys):
-    code, _, err = run_cli(
-        capsys, "table", "--model", "double-large", "--steps", "2", "--p", "7/3"
-    )
-    assert code == 2
-    assert "probability" in err
-
-
-def test_error_lines_quote_a_short_prefix(capsys):
-    """A 5000-character argument is echoed as its first 40 characters."""
-    text = "1/" + "0" * 4998
-    code, out, err = run_cli(capsys, "table", "--model", "double-large", "--steps", "2",
-                             "--p", text)
-    assert code == 2 and out == ""
-    assert err == f"error: invalid probability {text[:40]!r}...\n"
-    code, out, err = run_cli(capsys, "coeff", "--model", "double-large", "--steps", "2",
-                             "--state", "x" * 5000)
-    assert code == 2 and out == ""
-    assert err == f"error: invalid state {'x' * 40!r}...\n"
 
 
 # Values on both sides of every step cap, and --p spellings: mid-size,
@@ -1118,10 +1107,9 @@ def test_console_script_entry_point():
         "-c", CONSOLE_SCRIPT_WRAPPER, name, value,
         "table", "--model", "double-large", "--steps", "2", "--p", "7/3",
     )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith("error:")
-    assert "probability" in result.stderr
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: red probability must satisfy 0 < p < 1\n"
+    )
 
 
 def test_table_process_does_not_import_numpy():
