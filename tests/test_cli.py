@@ -418,7 +418,26 @@ def test_coeff_dp_accepts_general_probability(capsys):
     assert out.splitlines()[1] == "double-large,1,2,dp,1,2,0.5,"
 
 
-DL, DS = ["--model", "double-large"], ["--model", "double-small"]
+def test_table_respects_step_cap(capsys):
+    """``table`` and ``simulate --steps`` share the cap of 200."""
+    for command in (["table"], ["simulate", "--trials", "10"]):
+        code, out, err = run_cli(capsys, *command, "--model", "double-large", "--steps", "201")
+        assert code == 2 and out == ""
+        assert err == "error: steps 201 exceeds the safety cap 200\n"
+        code, out, err = run_cli(capsys, *command, "--model", "double-small", "--steps", "200")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].startswith("double-small,200,")
+
+
+def test_step_cap_ignores_the_environment(capsys, monkeypatch):
+    """``KNOEDEL_MAX_STEPS``, which once moved the cap, no longer does."""
+    monkeypatch.setenv("KNOEDEL_MAX_STEPS", "1000")
+    code, out, err = run_cli(capsys, "table", "--model", "double-large", "--steps", "201")
+    assert code == 2 and out == ""
+    assert err == "error: steps 201 exceeds the safety cap 200\n"
+
+
+DL, DS =["--model", "double-large"], ["--model", "double-small"]
 DP_COEFF = ["coeff", *DL, "--state", "0", "--source", "dp"]
 CLOSED_FORM_COEFF = ["coeff", "--source", "closed-form"]
 
