@@ -53,7 +53,8 @@ formulas stay for ``coeff`` and the verification suites.
 
 All closed forms assume the balanced draw probabilities (p = 1/3 for
 double-large, p = 2/3 for double-small); the dispatcher
-``closed_form_probability`` refuses other walks.
+``closed_form_probability`` refuses other walks, by ``is_balanced``,
+which each walk works out once.
 """
 
 from __future__ import annotations
@@ -394,9 +395,11 @@ def _read_off(top: int, weights: list[int]) -> list[int]:
 
 
 def _three_halves_power(m: int, ints: list[int]) -> Polynomial:
-    """(3/2)^m times the integer polynomial with coefficients ``ints``."""
-    num, den = 3**m, 2**m
-    return Polynomial([Fraction(c * num, den) for c in ints])
+    """(3/2)^m times the integer polynomial with coefficients ``ints``,
+    built as the integer numerators c 3^m over 2^m and reduced by one
+    gcd, with no ``Fraction`` per coefficient."""
+    num = 3**m
+    return Polynomial._reduced([c * num for c in ints], 2**m)
 
 
 def f_u_coeff(order_in_u: int) -> RationalFunction:

@@ -25,8 +25,11 @@ trailing zero, so ``==`` compares tuples.  ``+`` scales each operand once
 to the LCM of the two denominators, ``*`` convolves the numerators over
 the product of the denominators (``_convolve``), and each reduces its
 result once, by one ``gcd`` of the denominator and all numerators.
-Scalars enter as integers, and the Horner loop adds a polynomial's
-integer numerators, dividing by its denominator once at the end.
+Adding an integer needs no ``gcd``: it changes only the first
+numerator, by a multiple of the denominator, which leaves the form
+canonical.  Scalars enter as integers, and the Horner loop adds a
+polynomial's integer numerators, dividing by its denominator once at
+the end.
 Before its first arithmetic an element built from coefficients holds
 them as reduced (numerator, denominator) integer pairs, and forms its
 numerators over their LCM only when an operation needs them; ``terms()``
@@ -221,6 +224,12 @@ class _Ring:
             # A constant: one scale, and only numerator 0 gains a term.
             nums, den = self._ints()
             p, q = other.numerator, other.denominator
+            if q == 1 and (len(nums) > 1 or not self._TRIM):
+                # An integer keeps the form canonical: gcd(den, n0 + p den,
+                # n1, ...) = gcd(den, n0, n1, ...) = 1, and the last numerator
+                # stays nonzero.  A one-term polynomial can cancel to zero,
+                # so it is trimmed below.
+                return self._raw((nums[0] + p * den, *nums[1:]), den)
             scale = q // gcd(den, q)
             out = [x * scale for x in nums] or [0]
             out[0] += p * (den * scale // q)

@@ -31,9 +31,11 @@ numerators in support order.  ``dp_table`` and ``dp_distribution`` keep
 those rows as they are, each a ``StepDistribution`` of integer numerators
 over its b^e; ``dp_distribution`` keeps only the last row.  A brute-force
 sum over all coin sequences (``brute_force_distribution``), walked depth
-first through ``step`` with integer path counts, is the oracle it is
-checked against; its masses sit over b^steps.  A ``Fraction`` is formed
-only where a mass is read: ``prob``, ``probabilities`` and ``total``.
+first with integer path counts, is the oracle it is checked against: it
+asks ``step`` once per state and colour in a call, and its masses sit
+over b^steps.  A ``Fraction`` is formed only where a mass is read:
+``prob``, ``probabilities`` and ``total``.  ``is_balanced``, which the
+closed forms ask for on every call, is worked out once per walk.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from typing import Iterator, Union
 
@@ -117,9 +120,12 @@ class WalkModel:
     def name(self) -> str:
         return self.kind.value
 
-    @property
+    @cached_property
     def is_balanced(self) -> bool:
-        """Whether p has the default value the closed forms are derived for."""
+        """Whether p has the default value the closed forms are derived for.
+
+        Worked out on the first read and kept in the instance dict, which
+        the frozen fields, ``==``, ``hash`` and ``repr`` never look at."""
         return self.p == BALANCED_RED[self.kind]
 
     def step(self, state: State, red: bool) -> State:
@@ -253,9 +259,12 @@ def brute_force_distribution(model: WalkModel, steps: int) -> StepDistribution:
     """Distribution by summing over all 2^steps coin sequences.
 
     Deliberately independent of ``dp_table``: the tree of coin sequences
-    is walked depth first, one coin at a time through ``step``, so paths
-    that share a prefix share its steps and at most steps + 1 branches
-    wait at any time.  Each leaf counts one path by (state, reds).  For p = a/b a
+    is walked depth first, one coin at a time, so paths that share a
+    prefix share its steps and at most steps + 1 branches wait at any
+    time.  ``step`` is asked once per state and colour in a call, the
+    first time the state is popped, and kept in a local dict; a node one
+    coin from the end counts its two leaves at once instead of pushing
+    them.  Each leaf counts one path by (state, reds).  For p = a/b a
     path with r reds weighs a^r (b-a)^(steps-r) / b^steps, so each state's
     mass is one integer numerator over b^steps, summed after the walk.
     """
@@ -263,15 +272,25 @@ def brute_force_distribution(model: WalkModel, steps: int) -> StepDistribution:
         raise ValueError("step count must be non-negative")
     if steps > BRUTE_FORCE_LIMIT:
         raise ValueError("oracle limit exceeded")
-    paths: dict[tuple[State, int], int] = {}
-    branches: list[tuple[State, int, int]] = [(0, 0, 0)]  # (state, coins drawn, reds)
+    # A walk of no steps has one path, which never reaches the loop.
+    paths: dict[tuple[State, int], int] = {} if steps else {(0, 0): 1}
+    moves: dict[State, tuple[State, State]] = {}  # state -> (black, red) successors
+    # (state, coins drawn, reds)
+    branches: list[tuple[State, int, int]] = [(0, 0, 0)] if steps else []
+    last = steps - 1
     while branches:
         state, drawn, reds = branches.pop()
-        if drawn == steps:
-            paths[state, reds] = paths.get((state, reds), 0) + 1
-            continue
-        branches.append((model.step(state, False), drawn + 1, reds))
-        branches.append((model.step(state, True), drawn + 1, reds + 1))
+        nxt = moves.get(state)
+        if nxt is None:
+            nxt = moves[state] = (model.step(state, False), model.step(state, True))
+        black, red = nxt
+        if drawn == last:
+            # Both leaves at once, red first, as popping them would count them.
+            paths[red, reds + 1] = paths.get((red, reds + 1), 0) + 1
+            paths[black, reds] = paths.get((black, reds), 0) + 1
+        else:
+            branches.append((black, drawn + 1, reds))
+            branches.append((red, drawn + 1, reds + 1))
     red_weight = model.p.numerator
     black_weight = model.p.denominator - red_weight
     masses: dict[State, int] = {}

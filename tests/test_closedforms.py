@@ -143,6 +143,26 @@ def test_closed_form_probability_requires_balanced_model():
         cf.closed_form_probability(lopsided, 0, 3)
 
 
+def test_cached_balance_never_goes_stale():
+    """``is_balanced`` is kept on its walk once read: a walk copied with
+    another p works out its own, and reading it leaves ``==``, ``hash``
+    and ``repr`` as they were."""
+    model, fresh = WalkModel.double_large(), WalkModel.double_large()
+    seen = (repr(model), hash(model))
+    assert model.is_balanced
+    assert (repr(model), hash(model)) == seen
+    assert model == fresh and hash(model) == hash(fresh)
+    lopsided = replace(model, p=Fraction(1, 2))
+    assert lopsided.is_balanced is False
+    assert model.is_balanced
+    with pytest.raises(ValueError) as refused:
+        cf.closed_form_probability(lopsided, 0, 3)
+    assert str(refused.value) == (
+        "closed forms require the balanced probabilities "
+        "(p=1/3 for double-large, p=2/3 for double-small)"
+    )
+
+
 def test_negative_arguments_rejected():
     with pytest.raises(ValueError):
         cf.f_state_coeff(-1, 0)

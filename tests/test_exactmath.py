@@ -5,7 +5,7 @@ from itertools import zip_longest
 from math import gcd
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from knoedel.exactmath import (
@@ -184,6 +184,13 @@ padded = st.tuples(st.lists(coefficients, min_size=1, max_size=6), st.integers(0
 
 
 @given(padded, padded, coefficients, nonzero, sparse_tails)
+# Adding an integer skips the gcd, but a one-term polynomial plus an
+# integer must still be trimmed: [3] + (-3) is the zero polynomial,
+# whether -3 comes as an int or as a Fraction, and the series [3] of
+# order 1 plus -3 is 0 over 1.
+@example([3], [1], -3, 1, [])
+@example([3], [1], Fraction(-3), 1, [])
+@example([Fraction(5, 4)], [1], 2, 1, [])
 def test_ring_results_are_canonical_and_match_fraction_references(a, b, scalar, linear, tail):
     """Every series and polynomial result is canonical, reads back the
     Fractions of its schoolbook, recurrence, Lagrange or term-by-term

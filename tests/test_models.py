@@ -142,6 +142,26 @@ def test_brute_force_matches_mask_replay(kind, p):
         assert got.probabilities == mask_replay_distribution(model, n)
 
 
+@pytest.mark.parametrize("p", [None, Fraction(2, 7)])
+@pytest.mark.parametrize("kind", ["double_large", "double_small"])
+def test_brute_force_asks_step_at_most_twice_per_state(monkeypatch, kind, p):
+    """The oracle asks ``step`` once per state and colour: at most twice
+    for each of BETA and the numbered states up to the frontier, not once
+    per edge of the tree of coin sequences."""
+    model = getattr(WalkModel, kind)(p)
+    want = brute_force_distribution(model, 12)
+    calls = []
+    step = WalkModel.step
+
+    def counted(self, state, red):
+        calls.append(state)
+        return step(self, state, red)
+
+    monkeypatch.setattr(WalkModel, "step", counted)
+    assert brute_force_distribution(model, 12) == want
+    assert 0 < len(calls) <= 2 * (frontier(model, 12) + 2)
+
+
 def test_brute_force_limit():
     with pytest.raises(ValueError, match="oracle limit exceeded"):
         brute_force_distribution(WalkModel.double_large(), 23)
