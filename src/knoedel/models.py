@@ -272,11 +272,11 @@ def brute_force_distribution(model: WalkModel, steps: int) -> StepDistribution:
         raise ValueError("step count must be non-negative")
     if steps > BRUTE_FORCE_LIMIT:
         raise ValueError("oracle limit exceeded")
-    # A walk of no steps has one path, which never reaches the loop.
-    paths: dict[tuple[State, int], int] = {} if steps else {(0, 0): 1}
+    if steps == 0:
+        return StepDistribution(0, 1, {0: 1})  # one path, with no coin
+    paths: dict[tuple[State, int], int] = {}
     moves: dict[State, tuple[State, State]] = {}  # state -> (black, red) successors
-    # (state, coins drawn, reds)
-    branches: list[tuple[State, int, int]] = [(0, 0, 0)] if steps else []
+    branches: list[tuple[State, int, int]] = [(0, 0, 0)]  # (state, coins drawn, reds)
     last = steps - 1
     while branches:
         state, drawn, reds = branches.pop()
