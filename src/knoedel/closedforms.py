@@ -65,6 +65,7 @@ from itertools import zip_longest
 from math import comb
 
 from .exactmath import (
+    ZERO,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
@@ -304,7 +305,7 @@ def f_state_coeff(steps: int, state: int) -> Fraction:
         raise ValueError("steps and state must be non-negative")
     j = state
     if (steps + j) % 3 or j > frontier(_DOUBLE_LARGE, steps):
-        return Fraction(0)
+        return ZERO
     n_blocks = (steps + j) // 3
     s1 = _diagonal_sum(j, 3 * n_blocks - j + 1, n_blocks - j)
     s2 = _diagonal_sum(j - 1, 3 * n_blocks - j, n_blocks - j)
@@ -371,9 +372,9 @@ def g_state_coeff(steps: int, state: int) -> Fraction:
         raise ValueError("steps and state must be non-negative")
     j = state
     if j == 0:
-        return g0_coeff(steps // 3) if steps % 3 == 0 else Fraction(0)
+        return g0_coeff(steps // 3) if steps % 3 == 0 else ZERO
     if (steps - j) % 3 or j > frontier(_DOUBLE_SMALL, steps):
-        return Fraction(0)
+        return ZERO
     n_blocks = (steps - j) // 3
     return Fraction(2 ** (j - 1) * _g_sum(n_blocks, j), 3 ** (3 * n_blocks + j - 1))
 
@@ -586,8 +587,8 @@ def closed_form_probability(model: WalkModel, state: State, steps: int) -> Fract
         raise ValueError("steps must be non-negative")
     if model.kind is ModelKind.DOUBLE_LARGE:
         if isinstance(state, _BetaState):
-            return fbeta_coeff((steps - 1) // 3) if steps % 3 == 1 else Fraction(0)
+            return fbeta_coeff((steps - 1) // 3) if steps % 3 == 1 else ZERO
         return f_state_coeff(steps, state)
     if isinstance(state, _BetaState):
-        return gbeta_coeff((steps - 2) // 3) if steps % 3 == 2 else Fraction(0)
+        return gbeta_coeff((steps - 2) // 3) if steps % 3 == 2 else ZERO
     return g_state_coeff(steps, state)

@@ -14,9 +14,10 @@ are exact.  The three building blocks are
 Series and polynomials share one ring skeleton, ``_Ring``: the
 representation, ``+``, scalar ``*``, negation, subtraction and
 non-negative powers are written once there, and each class adds its
-constructor and its ``*``.  Substitution has one Horner loop,
-``Polynomial.__call__``, which ``TruncatedSeries.compose`` and
-``RationalFunction.expand`` both go through.
+constructor and its ``*``.  Substitution is Horner's rule in
+``Polynomial.__call__``, which ``TruncatedSeries.compose``,
+``TruncatedSeries.reversion`` and ``RationalFunction.expand`` all go
+through.
 
 The ring runs on integers.  An element is a tuple of integer numerators
 over one positive common denominator, kept canonical: the denominator
@@ -25,11 +26,17 @@ trailing zero, so ``==`` compares tuples.  ``+`` scales each operand once
 to the LCM of the two denominators, ``*`` convolves the numerators over
 the product of the denominators (``_convolve``), and each reduces its
 result once, by one ``gcd`` of the denominator and all numerators.
+``_convolve`` picks its loop from the operand lengths: against an
+operand of at most a quarter of its terms, the longer one is added in
+scaled slices, one per term of the shorter; otherwise each output
+coefficient is one dot product.
 Adding an integer needs no ``gcd``: it changes only the first
 numerator, by a multiple of the denominator, which leaves the form
-canonical.  Scalars enter as integers, and the Horner loop adds a
-polynomial's integer numerators, dividing by its denominator once at
-the end.
+canonical.  At a series point Horner runs on plain integer lists,
+scaling each numerator of the polynomial by the point's denominator to
+the power reached so far, and reduces once at the end; at a scalar or a
+polynomial it steps through ring elements, adding the polynomial's
+integer numerators and dividing by its denominator once at the end.
 Before its first arithmetic an element built from coefficients holds
 them as reduced (numerator, denominator) integer pairs, and forms its
 numerators over their LCM only when an operation needs them; ``terms()``
@@ -65,10 +72,14 @@ import functools
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd, lcm
-from operator import mul, neg
+from operator import add, mul, neg
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+# The exact zero every zero result returns: a Fraction is immutable, so
+# one object serves them all.
+ZERO = Fraction(0)
 
 
 def binom_general(a: int, b: int) -> Fraction:
@@ -79,7 +90,7 @@ def binom_general(a: int, b: int) -> Fraction:
     a negative lower index gives 0.
     """
     if b < 0:
-        return Fraction(0)
+        return ZERO
     if a < 0:
         return Fraction((-1) ** b * comb(b - a - 1, b))
     return Fraction(comb(a, b))
@@ -127,6 +138,12 @@ def _trimmed(nums: Sequence[int]) -> Sequence[int]:
     return nums[:end]
 
 
+# ``_convolve`` adds scaled slices when the shorter operand has at most
+# 1/_SHORT of the longer one's terms.  On 200-bit integers the two loops
+# break even at about 6 terms against 9, and 12-16 against 30-200.
+_SHORT = 4
+
+
 def _convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
     """The first ``length`` coefficients of the product of the integer
     sequences ``a`` and ``b``.
@@ -134,9 +151,23 @@ def _convolve(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
     Trailing zeros of either operand are dropped first; they add nothing
     to the product, and a padded sparse operand (such as the cubic x(t)
     held as a series of order n) then costs O(n) per product, not O(n^2).
-    Each output coefficient is one integer dot product.
+    The loop is chosen from the trimmed lengths alone.  When one operand
+    has at most a quarter of the other's terms, each nonzero term of the
+    short one adds one scaled slice of the long one, so Python's cost is
+    per term of the short operand, not per output coefficient.
+    Otherwise each output coefficient is one integer dot product, which
+    is faster when both operands are long.
     """
     a, b = _trimmed(a), _trimmed(b)
+    if len(a) > len(b):
+        a, b = b, a
+    if _SHORT * len(a) <= len(b):
+        out = [0] * length
+        for i, c in enumerate(a[:length]):
+            if c:
+                end = min(i + len(b), length)
+                out[i:end] = map(add, out[i:end], map(c.__mul__, b[:end - i]))
+        return out
     # b reversed, so that coefficient k pairs a slice of a with a slice
     # of this tuple, both read forwards.
     rb = b[::-1]
@@ -291,7 +322,7 @@ class TruncatedSeries(_Ring):
             if order < 1:
                 raise ValueError("order must be at least 1")
             del vals[order:]
-            vals.extend([Fraction(0)] * (order - len(vals)))
+            vals.extend([ZERO] * (order - len(vals)))
         elif not vals:
             raise ValueError("empty coefficient list needs an explicit order")
         self._from_scalars(vals)
@@ -427,7 +458,7 @@ class Polynomial(_Ring):
     def coeff(self, k: int) -> Fraction:
         if k < self._length():
             return self._coeff(k)
-        return Fraction(0)
+        return ZERO
 
     def derivative(self) -> Polynomial:
         """The formal derivative, over the same denominator."""
@@ -437,8 +468,26 @@ class Polynomial(_Ring):
     def __call__(self, point):
         """Horner evaluation over the integer numerators, divided by their
         denominator once at the end; works for scalars, series and
-        polynomials."""
+        polynomials.
+
+        At a series point p / q, with q its denominator, Horner runs on
+        plain integer lists: after i steps the accumulator is S / q^i, so
+        each step is S <- S p + c q^i through ``_convolve``, and the
+        result S / (q^d den) is reduced once, at the end.  The zero
+        polynomial, scalars and polynomial points take the generic loop
+        over ring elements."""
         nums, den = self._ints()
+        if nums and isinstance(point, TruncatedSeries):
+            p, q = point._ints()
+            order = len(p)
+            p = _trimmed(p)
+            acc = [nums[-1]] + [0] * (order - 1)
+            scale = 1
+            for c in reversed(nums[:-1]):
+                scale *= q
+                acc = _convolve(acc, p, order)
+                acc[0] += c * scale
+            return TruncatedSeries._reduced(acc, den * scale)
         acc = point * 0
         for c in reversed(nums):
             acc = acc * point + c

@@ -29,7 +29,7 @@ from time import perf_counter
 from typing import Callable
 
 from . import closedforms, montecarlo
-from .exactmath import Polynomial, TruncatedSeries
+from .exactmath import ZERO, Polynomial, TruncatedSeries
 from .models import (
     BETA,
     BRUTE_FORCE_LIMIT,
@@ -252,7 +252,7 @@ def column_consistency_suite(max_blocks: int) -> SuiteResult:
         expansion = closedforms.f_u_coeff(m).expand(t)
         for n_blocks in range(max_blocks + 1):
             n = 3 * n_blocks - m
-            want = closedforms.f_state_coeff(n, m) if n >= 0 else Fraction(0)
+            want = closedforms.f_state_coeff(n, m) if n >= 0 else ZERO
             suite.check(
                 expansion.coeff(n_blocks) == want,
                 lambda: f"double-large column {m} block {n_blocks}: expansion != coefficient",

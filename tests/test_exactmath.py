@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given
@@ -12,6 +12,8 @@ from knoedel.exactmath import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
+    _convolve,
+    _SHORT,
     binom_general,
 )
 
@@ -74,18 +76,57 @@ def recurrence_reciprocal(a):
     return b
 
 
-@given(
-    st.lists(coefficients, min_size=1, max_size=9),
-    st.lists(coefficients, min_size=1, max_size=9),
+def numerators(coeffs):
+    """The coefficients as integers over their least common denominator."""
+    fracs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in fracs))
+    return [int(c * den) for c in fracs]
+
+
+# ``_convolve`` adds slices of the long operand when the short one has at
+# most 1/_SHORT of its terms, and takes dot products otherwise: pairs of
+# up to 9 terms, and 1-4 terms against up to 40 either way round, reach
+# both loops.
+short_and_long = st.tuples(
+    st.lists(coefficients, min_size=1, max_size=4),
+    st.lists(coefficients, min_size=1, max_size=40),
 )
-def test_products_match_schoolbook_convolution(a, b):
-    """Both products equal the Fraction convolution, at unequal orders too."""
+operand_pairs = st.one_of(
+    st.tuples(
+        st.lists(coefficients, min_size=1, max_size=9),
+        st.lists(coefficients, min_size=1, max_size=9),
+    ),
+    short_and_long,
+    short_and_long.map(lambda pair: pair[::-1]),
+)
+
+
+@given(operand_pairs, st.integers(0, 50))
+# Trimmed lengths at the boundary of the slice loop and one past it,
+# from the short side and from the long side.
+@example(([1, 2], [1] * (2 * _SHORT)), 2 * _SHORT + 1)
+@example(([1, 2], [1] * (2 * _SHORT - 1)), 2 * _SHORT)
+@example(([1, 2, 3], [-1] * (3 * _SHORT) + [0, 0]), 3 * _SHORT + 2)
+@example(([1, 2, 3, 4], [-1] * (3 * _SHORT)), 3 * _SHORT + 3)
+# Zeros inside the short operand, on either side of the product.
+@example(([3, 0, 0, Fraction(-2, 7)], [Fraction(1, k) for k in range(1, 41)]), 43)
+@example(([Fraction(1, k) for k in range(1, 41)], [0, 5, 0, 1]), 43)
+# A truncation shorter than both operands, in each loop.
+@example(([2, -1], [1] * 30), 1)
+@example(([2, -1, 3, 1], [1] * 9), 3)
+def test_products_match_schoolbook_convolution(pair, length):
+    """Both products equal the Fraction convolution, at unequal orders
+    too, and ``_convolve`` equals it at any truncation, whichever loop
+    the operand lengths choose."""
+    a, b = pair
     n = min(len(a), len(b))
     series = TruncatedSeries(a) * TruncatedSeries(b)
     assert series.coeffs == tuple(schoolbook_product(a[:n], b[:n], n))
     poly = Polynomial(a) * Polynomial(b)
     assert poly == Polynomial(schoolbook_product(a, b, len(a) + len(b) - 1))
     assert all(type(c) is Fraction for c in series.coeffs + poly.coeffs)
+    ia, ib = numerators(a), numerators(b)
+    assert _convolve(ia, ib, length) == schoolbook_product(ia, ib, length)
 
 
 @given(
@@ -247,6 +288,47 @@ def test_ring_results_are_canonical_and_match_fraction_references(a, b, scalar, 
         for _, want in polynomials:
             assert (got == Polynomial(want)) is (got.coeffs == tuple(trimmed(want)))
             assert (Polynomial(want) == got) is (got.coeffs == tuple(trimmed(want)))
+
+
+def horner_reference(poly, point):
+    """sum_k poly_k point^k to the order of ``point``, by Fraction Horner
+    with schoolbook products."""
+    n = len(point)
+    acc = [Fraction(0)] * n
+    for c in reversed(poly):
+        acc = schoolbook_product(acc, point, n)
+        acc[0] += Fraction(c)
+    return acc
+
+
+series_points = st.one_of(
+    st.lists(coefficients, min_size=1, max_size=12).map(TruncatedSeries),
+    # Built from reduced pairs, so the point forms its integers only
+    # when the substitution needs them.
+    st.lists(rationals, min_size=1, max_size=12).map(
+        lambda cs: TruncatedSeries.from_terms([(c.numerator, c.denominator) for c in cs])
+    ),
+)
+
+
+@given(st.lists(coefficients, max_size=8), series_points)
+# The zero polynomial, also with trailing zeros: the integer Horner loop
+# needs a leading numerator, so it takes the generic loop.
+@example([], TruncatedSeries([1, 2]))
+@example([0, 0], TruncatedSeries([Fraction(1, 3), 2]))
+# A constant, at a point with a denominator.
+@example([Fraction(5, 3)], TruncatedSeries([Fraction(1, 2), 1, Fraction(-3, 4)]))
+# A nonzero constant term in the point, and the first terms of t(x),
+# whose denominators are powers of 27.
+@example([1, -2, 3], TruncatedSeries([2, Fraction(1, 3), -1]))
+@example([Fraction(1, 2), 0, 0, 7], TruncatedSeries.from_terms([(0, 1), (4, 27), (32, 729)]))
+def test_polynomial_at_series_matches_fraction_horner(poly, point):
+    """Substituting a series into a polynomial, on integer lists with one
+    reduction at the end, equals Horner on Fractions and is canonical."""
+    got = Polynomial(poly)(point)
+    assert isinstance(got, TruncatedSeries)
+    assert_canonical(got)
+    assert got.coeffs == tuple(horner_reference(poly, point.coeffs))
 
 
 def test_series_from_fractions_reads_back_without_integers():

@@ -227,14 +227,16 @@ def test_each_dp_suite_catches_one_wrong_numerator(monkeypatch):
 
 
 # Checks per suite, in ``run_verification``'s order, for ``verify`` at its
-# default sizes and with a larger step count.
+# default sizes, with a larger step count, and at order 62, the largest
+# order the ``verify`` benchmark workload asks for.
 VERIFY_CHECKS = {
     (): (1096, 26, 1515, 1519, 28, 3, 82, 252, 8),
     ("--max-steps", "50"): (2822, 26, 4025, 4029, 28, 3, 82, 252, 8),
+    ("--order", "62", "--max-steps", "20"): (532, 26, 710, 714, 28, 3, 82, 252, 8),
 }
 
 
-@pytest.mark.parametrize("sizes", list(VERIFY_CHECKS), ids=["defaults", "max-steps-50"])
+@pytest.mark.parametrize("sizes", list(VERIFY_CHECKS), ids=["defaults", "max-steps-50", "order-62"])
 def test_every_suite_keeps_its_check_count(capsys, sizes):
     assert cli.main(["verify", "--format", "csv", *sizes]) == 0
     rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
